@@ -5,31 +5,31 @@ interest (crossing endpoints, loop vertices, quarter points) becomes a
 circle vertex via the rational quarter-arc map, diagram pairs become
 pairs of chords, and the chords cut the polygon into convex 2-cells.
 Each cell is triangulated from its centroid and filled affinely into a
-target region of the space; a cell whose target is a non-convex plus of
-grid squares gets a radial clamp toward the home square's center, which
-is continuous because the region is star-shaped about that point.
+target region of the space.  The fan apex maps to the centroid of the
+cell's values, or, when the target is a non-convex plus of grid squares,
+to the home square's center, about which the plus is star-shaped.  Every
+face is therefore affine, and containment and the convergence gap are
+decided exactly.
 
 Outside the polygon, points collapse radially onto its boundary, and
 points exactly on the unit circle evaluate through the inverse circle
 map, so the boundary condition holds exactly at every parameter.
+
+Floats only filter: padded float boxes and float orientation signs with
+a certified margin rule out candidates that provably miss, and every
+candidate they keep is decided in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    AssignmentFailure,
-    IncompatibleHomotopies,
-    LevelOutOfRange,
-    MalformedDiagram,
-)
+from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
 from .grid import Corridor, DefiningSequence, PolyLoop, Point, _pow3
 from .traces import CancellationDiagram, TraceWord, diagram_valid
-from .words import CyclicWord, Letter, encode_word, _mod1
+from .words import CyclicWord, encode_word, _mod1
 
 QUARTERS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
@@ -69,8 +69,26 @@ def circle_param(p: Point) -> Fraction:
 # Small exact-geometry helpers
 
 
+def _homogeneous(p: Point) -> tuple[int, int, int]:
+    """Integers (x*w, y*w, w) for the point (x, y), with w > 0."""
+    x, y = p
+    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+
+
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """Exact (a - o) x (b - o).
+
+    Summed in integers as the determinant of the three points in
+    homogeneous coordinates, which skips the gcd that every Fraction
+    operation pays; one division normalizes the result.
+    """
+    xo, yo, wo = _homogeneous(o)
+    xa, ya, wa = _homogeneous(a)
+    xb, yb, wb = _homogeneous(b)
+    return Fraction(
+        xo * (ya * wb - yb * wa) - yo * (xa * wb - xb * wa) + wo * (xa * yb - xb * ya),
+        wo * wa * wb,
+    )
 
 
 def _centroid(points: Sequence[Point]) -> Point:
@@ -79,12 +97,6 @@ def _centroid(points: Sequence[Point]) -> Point:
         sum(p[0] for p in points) / n,
         sum(p[1] for p in points) / n,
     )
-
-
-def _point_in_convex(poly: Sequence[Point], p: Point) -> bool:
-    """Closed membership in a CCW convex polygon."""
-    n = len(poly)
-    return all(_cross(poly[j], poly[(j + 1) % n], p) >= 0 for j in range(n))
 
 
 def _point_in_triangle(tri: Sequence[Point], p: Point) -> bool:
@@ -105,11 +117,20 @@ def _affine_in_triangle(dom: Sequence[Point], val: Sequence[Point], p: Point) ->
     )
 
 
-def _segments_cross(a: Point, b: Point, c: Point, d: Point) -> Optional[Point]:
-    """Proper interior crossing point of two segments, else None.
+def _lerp(p: Point, q: Point, t: Fraction) -> Point:
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _segments_cross(
+    a: Point, b: Point, c: Point, d: Point
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Parameters (s, t) of a crossing a+s(b-a) = c+t(d-c), else None.
 
     Shared endpoints and collinear contact return None; polygon chords
-    never overlap collinearly because a line meets the circle twice.
+    never overlap collinearly because a line meets the circle twice.  An
+    endpoint of one segment lying on the other is returned only when the
+    first segment's other end lies to the left of the second, so callers
+    after proper crossings skip results at endpoints.
     """
     if a == c or a == d or b == c or b == d:
         return None
@@ -118,43 +139,30 @@ def _segments_cross(a: Point, b: Point, c: Point, d: Point) -> Optional[Point]:
     d3 = _cross(c, d, a)
     d4 = _cross(c, d, b)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2:
-        t = d1 / (d1 - d2)
-        return (c[0] + t * (d[0] - c[0]), c[1] + t * (d[1] - c[1]))
+        return d3 / (d3 - d4), d1 / (d1 - d2)
     return None
 
 
-def _seg_point_candidates(a: Point, b: Point, c: Point, d: Point) -> list[Point]:
-    """Intersection points of two closed segments, for overlay corners.
+# Float filters.  Domain points lie in the closed unit disk, so every
+# coordinate has |x| <= 1 and its float is within 2^-53 of it.  The float
+# value of (ax-ox)(by-oy) - (ay-oy)(bx-ox) is then within 6e-15 of the
+# exact one: each difference of size <= 2 is off by at most 4.5e-16 (two
+# conversions and a rounding), each product by at most 2.3e-15, and the
+# last subtraction adds a rounding of at most 9e-16.  Beyond the margin
+# the float sign is the exact sign; nearer zero the filter abstains.
+# Boxes are padded far past conversion error, so they never miss.
+_ORIENT_MARGIN = 1e-12
+_BOX_PAD = 1e-9
 
-    Includes touching contacts and the endpoints of collinear overlap.
-    """
-    d1 = _cross(a, b, c)
-    d2 = _cross(a, b, d)
-    d3 = _cross(c, d, a)
-    d4 = _cross(c, d, b)
-    out = []
-    if d1 == 0 and d2 == 0:
-        # collinear: project onto the longer axis span
-        axis = 0 if a[0] != b[0] else 1
-        lo1, hi1 = sorted((a[axis], b[axis]))
-        lo2, hi2 = sorted((c[axis], d[axis]))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo <= hi:
-            for v in {lo, hi}:
-                for p in (a, b, c, d):
-                    if p[axis] == v:
-                        out.append(p)
-                        break
-        return out
-    if (d1 >= 0) != (d2 >= 0) or d1 == 0 or d2 == 0:
-        if (d3 >= 0) != (d4 >= 0) or d3 == 0 or d4 == 0:
-            if d1 != d2:
-                t = d1 / (d1 - d2)
-                if 0 <= t <= 1:
-                    out.append(
-                        (c[0] + t * (d[0] - c[0]), c[1] + t * (d[1] - c[1]))
-                    )
-    return out
+
+def _float_orient(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> int:
+    """Sign of _cross(o, a, b) when floats certify it, else 0."""
+    d = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    if d > _ORIENT_MARGIN:
+        return 1
+    if d < -_ORIENT_MARGIN:
+        return -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +315,18 @@ def build_cellulation(
             if "E" in (su, sv) or su == sv:
                 (todo_a if side == "A" else todo_b).append(d)
                 continue
-            x = _segments_cross(pa, pb, nodes[du].point, nodes[dv].point)
-            if x is None:
+            st = _segments_cross(pa, pb, nodes[du].point, nodes[dv].point)
+            if st is None:
                 raise AssertionError("straddling chord fails to cross the cut")
             if not word.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
                 raise MalformedDiagram(
                     "chords of non-commuting corridors cross; the diagram "
                     "cannot come from a valid cancellation"
                 )
-            nodes.append(Node(x, None))
+            nodes.append(Node(_lerp(pa, pb, st[0]), None))
             xi = len(nodes) - 1
             crossings.append((xi, cut[3], d[3]))
-            t_along = (x[0] - pa[0]) * (pb[0] - pa[0]) + (x[1] - pa[1]) * (pb[1] - pa[1])
-            on_cut.append((t_along, xi))
+            on_cut.append((st[0], xi))
             part_u = (du, xi, d[2], d[3])
             part_v = (xi, dv, d[2], d[3])
             (todo_a if su == "A" else todo_b).append(part_u)
@@ -401,10 +408,6 @@ def _in_rect(p: Point, r: Rect) -> bool:
     return r[0] <= p[0] <= r[1] and r[2] <= p[1] <= r[3]
 
 
-def _cell_rect(a: int, b: int, n: int) -> Rect:
-    return (Fraction(a, n), Fraction(a + 1, n), Fraction(b, n), Fraction(b + 1, n))
-
-
 def _segment_in_cells(
     p: Point, q: Point, cells: set[tuple[int, int]], n: int
 ) -> bool:
@@ -445,8 +448,8 @@ def _free_target(
 
     First choice: the grid-snapped bounding box of the values, when all
     of its cells are kept.  Fallback: a plus-shaped union of kept cells
-    around a kept even-even home cell, star-shaped about the home
-    center, so a radial clamp stays continuous.
+    around a kept even-even home cell that holds every edge between the
+    values; it is star-shaped about the home center.
     """
     n = _pow3(i)
     xs = [v[0] for v in values]
@@ -504,40 +507,6 @@ def _free_target(
     )
 
 
-def _clamp_to_region(
-    p: Point, center: Point, cells: Sequence[tuple[int, int]], n: int
-) -> Point:
-    """Radial retraction onto a star-shaped union of closed cells."""
-    for a, b in cells:
-        if _in_rect(p, _cell_rect(a, b, n)):
-            return p
-    dx, dy = p[0] - center[0], p[1] - center[1]
-    spans = []
-    for a, b in cells:
-        r = _cell_rect(a, b, n)
-        lo, hi = Fraction(0), Fraction(1)
-        ok = True
-        for d, c, rlo, rhi in ((dx, center[0], r[0], r[1]), (dy, center[1], r[2], r[3])):
-            if d == 0:
-                if not (rlo <= c <= rhi):
-                    ok = False
-                    break
-                continue
-            t0, t1 = (rlo - c) / d, (rhi - c) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            lo, hi = max(lo, t0), min(hi, t1)
-        if ok and lo <= hi:
-            spans.append((lo, hi))
-    spans.sort()
-    cover = Fraction(0)
-    for lo, hi in spans:
-        if lo > cover:
-            break
-        cover = max(cover, hi)
-    return (center[0] + cover * dx, center[1] + cover * dy)
-
-
 # ---------------------------------------------------------------------------
 # The homotopy object
 
@@ -546,9 +515,8 @@ def _clamp_to_region(
 class FaceFill:
     face: int
     target: Target
-    # triangles: ((domain triple), (value triple)) with a shared centroid apex
+    # triangles: ((domain triple), (value triple)) with a shared apex
     triangles: tuple[tuple[tuple[Point, Point, Point], tuple[Point, Point, Point]], ...]
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -598,9 +566,12 @@ def build_homotopy(
 
     Faces inside two bands map into the junction cell of the two
     corridors, faces inside one band into that corridor's rectangle,
-    and free faces into a snapped bounding box or a star-shaped plus of
-    kept cells (with a continuous radial clamp).  Raises
-    AssignmentFailure when no admissible region exists.
+    and free faces into a snapped bounding box or a plus of kept cells.
+    Each face is a fan of triangles from its centroid; the apex maps to
+    the centroid of the face's values, or to a plus's center, about
+    which the plus is star-shaped, so every cone over the face's
+    boundary values stays in the target and every face is affine.
+    Raises AssignmentFailure when no admissible region exists.
     """
     seq.check_level(i)
     if word is None:
@@ -651,12 +622,12 @@ def build_homotopy(
                 f"face {fi} carries values outside its {target.kind} rectangle"
             )
         cen_d = _centroid(pts)
-        cen_v = _centroid(vals)
+        cen_v = target.center if target.kind == "plus" else _centroid(vals)
         tris = tuple(
             ((cen_d, pts[k], pts[(k + 1) % len(pts)]), (cen_v, vals[k], vals[(k + 1) % len(vals)]))
             for k in range(len(pts))
         )
-        fills.append(FaceFill(fi, target, tris, target.kind == "plus"))
+        fills.append(FaceFill(fi, target, tris))
 
     return LevelHomotopy(
         loop=loop,
@@ -694,6 +665,24 @@ def _minkowski(h: LevelHomotopy, z: Point) -> Fraction:
 _EVAL_GRID = 16
 
 
+def _triangles(h: LevelHomotopy) -> list:
+    """The map's non-degenerate (domain, values) triangles, in fill order.
+
+    Built once per map and cached on the instance.
+    """
+    cached = getattr(h, "_triangles", None)
+    if cached is not None:
+        return cached
+    tris = [
+        (dom, val)
+        for fill in h.fills
+        for dom, val in fill.triangles
+        if _cross(dom[0], dom[1], dom[2]) != 0
+    ]
+    object.__setattr__(h, "_triangles", tris)
+    return tris
+
+
 def _face_buckets(h: LevelHomotopy) -> dict[tuple[int, int], list]:
     """Bucketed triangle lookup for repeated pointwise evaluation.
 
@@ -707,22 +696,13 @@ def _face_buckets(h: LevelHomotopy) -> dict[tuple[int, int], list]:
     cached = getattr(h, "_face_buckets", None)
     if cached is not None:
         return cached
-    pad = 1e-9
     buckets: dict[tuple[int, int], list] = {}
-    for fill in h.fills:
-        for dom, val in fill.triangles:
-            if _cross(dom[0], dom[1], dom[2]) == 0:
-                continue
-            xs = [float(q[0]) for q in dom]
-            ys = [float(q[1]) for q in dom]
-            bx0 = _bucket_of(min(xs) - pad)
-            bx1 = _bucket_of(max(xs) + pad)
-            by0 = _bucket_of(min(ys) - pad)
-            by1 = _bucket_of(max(ys) + pad)
-            entry = (dom, val, fill.clamped, fill.target)
-            for bx in range(bx0, bx1 + 1):
-                for by in range(by0, by1 + 1):
-                    buckets.setdefault((bx, by), []).append(entry)
+    for tri in _triangles(h):
+        xs = [float(q[0]) for q in tri[0]]
+        ys = [float(q[1]) for q in tri[0]]
+        for bx in range(_bucket_of(min(xs) - _BOX_PAD), _bucket_of(max(xs) + _BOX_PAD) + 1):
+            for by in range(_bucket_of(min(ys) - _BOX_PAD), _bucket_of(max(ys) + _BOX_PAD) + 1):
+                buckets.setdefault((bx, by), []).append(tri)
     object.__setattr__(h, "_face_buckets", buckets)
     return buckets
 
@@ -734,14 +714,9 @@ def _bucket_of(t: float) -> int:
 
 def _eval_in_polygon(h: LevelHomotopy, p: Point) -> Point:
     key = (_bucket_of(float(p[0])), _bucket_of(float(p[1])))
-    for dom, val, clamped, target in _face_buckets(h).get(key, ()):
+    for dom, val in _face_buckets(h).get(key, ()):
         if _point_in_triangle(dom, p):
-            out = _affine_in_triangle(dom, val, p)
-            if clamped:
-                out = _clamp_to_region(
-                    out, target.center, target.cells, _pow3(h.level)
-                )
-            return out
+            return _affine_in_triangle(dom, val, p)
     raise AssertionError(f"point {p} not covered by any face")
 
 
@@ -771,8 +746,6 @@ class ContainmentReport:
     ok: bool
     level: int
     exact_faces: int
-    sampled_faces: int
-    samples: int
     violations: tuple[tuple[int, Point], ...]  # (face, offending value point)
 
 
@@ -866,66 +839,30 @@ def _triangle_hole_hit(
     return None
 
 
-def _sample_points(dom: Sequence[Point], resolution: Fraction) -> Iterator[Point]:
-    ax = max(p[0] for p in dom) - min(p[0] for p in dom)
-    ay = max(p[1] for p in dom) - min(p[1] for p in dom)
-    diam = max(ax, ay)
-    steps = max(1, min(48, -((-diam.numerator * resolution.denominator) // (diam.denominator * resolution.numerator))))
-    for u in range(steps + 1):
-        for v in range(steps + 1 - u):
-            w = steps - u - v
-            yield (
-                (u * dom[0][0] + v * dom[1][0] + w * dom[2][0]) / steps,
-                (u * dom[0][1] + v * dom[1][1] + w * dom[2][1]) / steps,
-            )
-
-
 def verify_containment(
     h: LevelHomotopy,
     seq: Optional[DefiningSequence] = None,
     i: Optional[int] = None,
-    resolution: Fraction = Fraction(1, 81),
 ) -> ContainmentReport:
     """Check the filled disk's image avoids every removed square.
 
-    Affine faces are checked exactly: the image of each triangle is a
-    triangle, tested against each candidate open square.  Clamped faces
-    are spot-checked on a barycentric grid at the given resolution.
+    Every face is affine, so the image of each of its triangles is a
+    triangle, tested exactly against each candidate open square.
     """
     seq = seq if seq is not None else h.seq
     i = i if i is not None else h.level
     holes = _holes_by_level(seq, i)
     violations: list[tuple[int, Point]] = []
-    exact_faces = sampled_faces = samples = 0
-    n = _pow3(h.level)
     for fill in h.fills:
-        if not fill.clamped:
-            exact_faces += 1
-            for _, val in fill.triangles:
-                hit = _triangle_hole_hit(val, holes)
-                if hit is not None:
-                    violations.append((fill.face, hit))
-                    break
-        else:
-            sampled_faces += 1
-            for dom, val in fill.triangles:
-                if _cross(dom[0], dom[1], dom[2]) == 0:
-                    continue
-                for p in _sample_points(dom, resolution):
-                    out = _affine_in_triangle(dom, val, p)
-                    out = _clamp_to_region(
-                        out, fill.target.center, fill.target.cells, n
-                    )
-                    samples += 1
-                    if seq.point_in_removed_interior(out, i):
-                        violations.append((fill.face, out))
-                        break
+        for _, val in fill.triangles:
+            hit = _triangle_hole_hit(val, holes)
+            if hit is not None:
+                violations.append((fill.face, hit))
+                break
     return ContainmentReport(
         ok=not violations,
         level=i,
-        exact_faces=exact_faces,
-        sampled_faces=sampled_faces,
-        samples=samples,
+        exact_faces=len(h.fills),
         violations=tuple(violations),
     )
 
@@ -940,36 +877,58 @@ class GapReport:
     max_sq: Fraction
     bound: Fraction
     holds: bool
-    exact: bool
     witness: Optional[Point]
-    pairs_checked: int
-    samples: int
+    pairs_checked: int  # edge pairs that reached the exact crossing test
 
 
-def _tri_bbox(tri) -> Rect:
-    return (
-        min(p[0] for p in tri),
-        max(p[0] for p in tri),
-        min(p[1] for p in tri),
-        max(p[1] for p in tri),
-    )
+def _point_key(p: Point) -> tuple[int, int, int, int]:
+    """Exact identity of a point; hashes faster than a pair of Fractions."""
+    return (p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator)
 
 
-def convergence_gap(
-    h1: LevelHomotopy,
-    h2: LevelHomotopy,
-    resolution: Fraction = Fraction(1, 81),
-) -> GapReport:
+def _overlay_index(
+    h: LevelHomotopy, ids: dict[tuple[int, int, int, int], int], points: list
+) -> tuple[dict[int, Point], dict[tuple[int, int], None]]:
+    """Distinct vertices with their values, and unique edges, of the mesh.
+
+    Vertex ids are shared through `ids` by the two meshes of a gap;
+    `points` holds each id's point and its floats.  Edges are id pairs,
+    kept in fill order.
+    """
+    values: dict[int, Point] = {}
+    edges: dict[tuple[int, int], None] = {}
+    for dom, val in _triangles(h):
+        js = []
+        for p, v in zip(dom, val):
+            k = _point_key(p)
+            j = ids.get(k)
+            if j is None:
+                j = ids[k] = len(points)
+                points.append((p, float(p[0]), float(p[1])))
+            if values.setdefault(j, v) != v:
+                raise AssertionError(f"map takes two values at mesh vertex {p}")
+            js.append(j)
+        for a, b in ((js[0], js[1]), (js[1], js[2]), (js[2], js[0])):
+            edges[(a, b) if a < b else (b, a)] = None
+    return values, edges
+
+
+def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
     """Sup-distance between consecutive-level fillings of one loop.
 
     Requires both homotopies to share the loop, the space, and the full
     parameter set (build them with each other's marks as extra_params).
     On the common polygon the difference of two affine triangles is
-    affine, so |difference|^2 is convex and is maximized at a vertex of
-    the overlay; those corners are enumerated exactly.  Outside the
-    polygon both maps collapse radially to identical boundary values, so
-    the annulus contributes nothing.  Clamped faces fall back to grid
-    sampling and mark the report as inexact.
+    affine, so |difference|^2 is convex on each cell of the overlay of
+    the two meshes and is maximized at a corner.  Corners are the
+    vertices of either mesh, located in the other, and the proper
+    crossings of one mesh's edges with the other's; touching and
+    collinear contacts are mesh vertices already.  Padded float boxes
+    and certified float orientations only reject edge pairs; every
+    inclusion, crossing and value is exact, each distinct corner is
+    evaluated once, and the maximum is exact.  Outside the polygon both
+    maps collapse radially to identical boundary values, so the annulus
+    contributes nothing.
     """
     if h1.loop != h2.loop or h1.seq != h2.seq:
         raise IncompatibleHomotopies("homotopies describe different problems")
@@ -982,117 +941,83 @@ def convergence_gap(
             "different disk polygons; rebuild with shared extra_params"
         )
 
-    affine1 = [
-        (dom, val)
-        for f in h1.fills
-        if not f.clamped
-        for dom, val in f.triangles
-        if _cross(dom[0], dom[1], dom[2]) != 0
-    ]
-    affine2 = [
-        (dom, val)
-        for f in h2.fills
-        if not f.clamped
-        for dom, val in f.triangles
-        if _cross(dom[0], dom[1], dom[2]) != 0
-    ]
-
-    scale = 8
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (dom, _) in enumerate(affine2):
-        bb = _tri_bbox(dom)
-        for bx in range(int(bb[0] * scale) - 1, int(bb[1] * scale) + 2):
-            for by in range(int(bb[2] * scale) - 1, int(bb[3] * scale) + 2):
-                buckets.setdefault((bx, by), []).append(idx)
+    ids: dict[tuple[int, int, int, int], int] = {}
+    points: list[tuple[Point, float, float]] = []
+    values1, edges1 = _overlay_index(h1, ids, points)
+    values2, edges2 = _overlay_index(h2, ids, points)
 
     max_sq = Fraction(0)
     witness: Optional[Point] = None
-    pairs_checked = 0
 
-    # The maps are continuous, so a candidate point gives the same pair
-    # of values whichever containing triangles produced it: one exact
-    # evaluation per distinct point suffices.
-    seen: set[Point] = set()
-
-    def consider(p: Point, t1, t2):
+    def consider(p: Point, v1: Point, v2: Point) -> None:
         nonlocal max_sq, witness
-        if p in seen:
-            return
-        seen.add(p)
-        v1 = _affine_in_triangle(t1[0], t1[1], p)
-        v2 = _affine_in_triangle(t2[0], t2[1], p)
         d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
         if d > max_sq:
             max_sq = d
             witness = p
 
-    # Float boxes (padded past rounding error) only ever rule out pairs
-    # that provably miss each other; every survivor is tested exactly.
-    pad = 1e-9
+    # Vertex corners.  The maps are continuous, so any triangle holding a
+    # point gives its value; a vertex of both meshes needs no search.
+    for j, v1 in values1.items():
+        p = points[j][0]
+        v2 = values2.get(j)
+        consider(p, v1, v2 if v2 is not None else _eval_in_polygon(h2, p))
+    for j, v2 in values2.items():
+        if j not in values1:
+            p = points[j][0]
+            consider(p, _eval_in_polygon(h1, p), v2)
 
-    def edges_of(tri):
-        out = []
-        for j in range(3):
-            a, b = tri[j], tri[(j + 1) % 3]
-            ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
-            out.append(
-                (a, b,
-                 min(ax, bx) - pad, max(ax, bx) + pad,
-                 min(ay, by) - pad, max(ay, by) + pad)
-            )
-        return out
-    edges1 = [edges_of(t[0]) for t in affine1]
-    edges2 = [edges_of(t[0]) for t in affine2]
-    seg_memo: dict[tuple, list[Point]] = {}
+    # Crossing corners: the second mesh's edges filed by padded float box.
+    grid: dict[tuple[int, int], list] = {}
+    for n, (c, d) in enumerate(edges2):
+        _, cx, cy = points[c]
+        _, dx, dy = points[d]
+        u0, u1 = min(cx, dx) - _BOX_PAD, max(cx, dx) + _BOX_PAD
+        v0, v1 = min(cy, dy) - _BOX_PAD, max(cy, dy) + _BOX_PAD
+        entry = (n, c, d, cx, cy, dx, dy, u0, u1, v0, v1)
+        for gx in range(_bucket_of(u0), _bucket_of(u1) + 1):
+            for gy in range(_bucket_of(v0), _bucket_of(v1) + 1):
+                grid.setdefault((gx, gy), []).append(entry)
 
-    for i1, t1 in enumerate(affine1):
-        bb1 = _tri_bbox(t1[0])
-        cand: set[int] = set()
-        for bx in range(int(bb1[0] * scale) - 1, int(bb1[1] * scale) + 2):
-            for by in range(int(bb1[2] * scale) - 1, int(bb1[3] * scale) + 2):
-                cand.update(buckets.get((bx, by), ()))
-        for idx in sorted(cand):
-            t2 = affine2[idx]
-            bb2 = _tri_bbox(t2[0])
-            if bb1[1] < bb2[0] or bb2[1] < bb1[0] or bb1[3] < bb2[2] or bb2[3] < bb1[2]:
-                continue
-            pairs_checked += 1
-            for p in t1[0]:
-                if p not in seen and _point_in_triangle(t2[0], p):
-                    consider(p, t1, t2)
-            for p in t2[0]:
-                if p not in seen and _point_in_triangle(t1[0], p):
-                    consider(p, t1, t2)
-            for a, b, x0, x1, y0, y1 in edges1[i1]:
-                for c, d, u0, u1, v0, v1 in edges2[idx]:
+    pairs_checked = 0
+    crossings: set[tuple[int, int, int, int]] = set()
+    seen = [-1] * len(edges2)  # last first-mesh edge that met each edge
+    for m, (a, b) in enumerate(edges1):
+        pa, ax, ay = points[a]
+        pb, bx, by = points[b]
+        x0, x1 = min(ax, bx) - _BOX_PAD, max(ax, bx) + _BOX_PAD
+        y0, y1 = min(ay, by) - _BOX_PAD, max(ay, by) + _BOX_PAD
+        for gx in range(_bucket_of(x0), _bucket_of(x1) + 1):
+            for gy in range(_bucket_of(y0), _bucket_of(y1) + 1):
+                for n, c, d, cx, cy, dx, dy, u0, u1, v0, v1 in grid.get((gx, gy), ()):
+                    if seen[n] == m:
+                        continue
+                    seen[n] = m
                     if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                         continue
-                    key = (a, b, c, d)
-                    pts = seg_memo.get(key)
-                    if pts is None:
-                        pts = _seg_point_candidates(a, b, c, d)
-                        seg_memo[key] = pts
-                    for p in pts:
-                        consider(p, t1, t2)
-
-    samples = 0
-    exact = True
-    for h_from, h_other in ((h1, h2), (h2, h1)):
-        for fill in h_from.fills:
-            if not fill.clamped:
-                continue
-            exact = False
-            for dom, _ in fill.triangles:
-                if _cross(dom[0], dom[1], dom[2]) == 0:
-                    continue
-                for p in _sample_points(dom, resolution):
-                    v1 = _eval_in_polygon(h_from, p)
-                    v2 = _eval_in_polygon(h_other, p)
-                    samples += 1
-                    d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
-                    if d > max_sq:
-                        max_sq = d
-                        witness = p
+                    if a == c or a == d or b == c or b == d:
+                        continue
+                    s = _float_orient(ax, ay, bx, by, cx, cy)
+                    if s and s == _float_orient(ax, ay, bx, by, dx, dy):
+                        continue
+                    s = _float_orient(cx, cy, dx, dy, ax, ay)
+                    if s and s == _float_orient(cx, cy, dx, dy, bx, by):
+                        continue
+                    pairs_checked += 1
+                    st = _segments_cross(pa, pb, points[c][0], points[d][0])
+                    if st is None:
+                        continue
+                    x = _lerp(pa, pb, st[0])
+                    k = _point_key(x)
+                    if k in ids or k in crossings:
+                        continue
+                    crossings.add(k)
+                    # Each map is affine along its edge.
+                    consider(
+                        x,
+                        _lerp(values1[a], values1[b], st[0]),
+                        _lerp(values2[c], values2[d], st[1]),
+                    )
 
     bound = Fraction(6, _pow3(h1.level))
     return GapReport(
@@ -1100,8 +1025,6 @@ def convergence_gap(
         max_sq=max_sq,
         bound=bound,
         holds=max_sq <= bound * bound,
-        exact=exact,
         witness=witness,
         pairs_checked=pairs_checked,
-        samples=samples,
     )

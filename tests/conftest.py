@@ -21,6 +21,7 @@ from carpetloop import (
     Letter,
     TraceWord,
     corridors,
+    eligible_squares,
     realize_word,
 )
 from carpetloop.errors import Unroutable
@@ -341,3 +342,118 @@ def realized_loop(seq, word, ray_levels=()):
         except DegeneratePosition:
             return None
     return loop
+
+
+# ---------------------------------------------------------------------------
+# Convergence-gap oracle: the triangle-pair overlay
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_triangle(tri, p):
+    s0 = _cross(tri[0], tri[1], p)
+    s1 = _cross(tri[1], tri[2], p)
+    s2 = _cross(tri[2], tri[0], p)
+    return (s0 >= 0 and s1 >= 0 and s2 >= 0) or (s0 <= 0 and s1 <= 0 and s2 <= 0)
+
+
+def _affine_value(dom, val, p):
+    (ax, ay), (bx, by), (cx, cy) = dom
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    u = ((p[0] - ax) * (cy - ay) - (p[1] - ay) * (cx - ax)) / det
+    v = ((bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)) / det
+    return (
+        val[0][0] + u * (val[1][0] - val[0][0]) + v * (val[2][0] - val[0][0]),
+        val[0][1] + u * (val[1][1] - val[0][1]) + v * (val[2][1] - val[0][1]),
+    )
+
+
+def _segment_contacts(a, b, c, d):
+    """Every corner two closed segments make: crossings, touches, overlap ends."""
+    d1 = _cross(a, b, c)
+    d2 = _cross(a, b, d)
+    d3 = _cross(c, d, a)
+    d4 = _cross(c, d, b)
+    out = []
+    if d1 == 0 and d2 == 0:
+        axis = 0 if a[0] != b[0] else 1
+        lo1, hi1 = sorted((a[axis], b[axis]))
+        lo2, hi2 = sorted((c[axis], d[axis]))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo <= hi:
+            for v in {lo, hi}:
+                for p in (a, b, c, d):
+                    if p[axis] == v:
+                        out.append(p)
+                        break
+        return out
+    if (d1 >= 0) != (d2 >= 0) or d1 == 0 or d2 == 0:
+        if (d3 >= 0) != (d4 >= 0) or d3 == 0 or d4 == 0:
+            if d1 != d2:
+                t = d1 / (d1 - d2)
+                if 0 <= t <= 1:
+                    out.append((c[0] + t * (d[0] - c[0]), c[1] + t * (d[1] - c[1])))
+    return out
+
+
+def gap_oracle(h1, h2):
+    """Exact squared sup-distance of two fillings by brute-force overlay.
+
+    For every pair of non-degenerate triangles, one per map, whose boxes
+    meet, evaluates both affine maps at every corner of their
+    intersection: each triangle's vertices inside the other and every
+    contact of their edges.  Returns (max_sq, witness).
+    """
+
+    def mesh(h):
+        return [
+            (dom, val)
+            for f in h.fills
+            for dom, val in f.triangles
+            if _cross(dom[0], dom[1], dom[2]) != 0
+        ]
+
+    def box(tri):
+        xs = [p[0] for p in tri]
+        ys = [p[1] for p in tri]
+        return min(xs), max(xs), min(ys), max(ys)
+
+    second = [(dom, val, box(dom)) for dom, val in mesh(h2)]
+    max_sq, witness = Fraction(0), None
+    seen = set()
+    for dom1, val1 in mesh(h1):
+        b1 = box(dom1)
+        for dom2, val2, b2 in second:
+            if b1[1] < b2[0] or b2[1] < b1[0] or b1[3] < b2[2] or b2[3] < b1[2]:
+                continue
+            corners = [p for p in dom1 if _in_triangle(dom2, p)]
+            corners += [p for p in dom2 if _in_triangle(dom1, p)]
+            for j in range(3):
+                for k in range(3):
+                    corners += _segment_contacts(
+                        dom1[j], dom1[(j + 1) % 3], dom2[k], dom2[(k + 1) % 3]
+                    )
+            for p in corners:
+                if p in seen:
+                    continue
+                seen.add(p)
+                v1 = _affine_value(dom1, val1, p)
+                v2 = _affine_value(dom2, val2, p)
+                d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
+                if d > max_sq:
+                    max_sq, witness = d, p
+    return max_sq, witness
+
+
+def random_explicit_space(depth, rng: random.Random, keep=0.5) -> DefiningSequence:
+    """Each level's eligible squares, each removed with probability `keep`."""
+    full = DefiningSequence.full_carpet(depth)
+    removed = [
+        sq
+        for i in range(1, depth + 1)
+        for sq in sorted(eligible_squares(full, i), key=lambda q: q.key())
+        if rng.random() < keep
+    ]
+    return DefiningSequence.explicit(depth, removed)

@@ -213,7 +213,7 @@ def test_ac6_convergence_bound(fc4):
         assert isinstance(v, TrivialUpTo) and v.conclusive, v
         hs = homotopies_for(loop, fc4, [1, 2, 3, 4])
         for i in (1, 2, 3, 4):
-            rep = verify_containment(hs[i], resolution=F(1, 81))
+            rep = verify_containment(hs[i])
             assert rep.ok, (i, rep.violations[:3])
         for i in (1, 2, 3):
             gap = convergence_gap(hs[i], hs[i + 1])
@@ -257,7 +257,7 @@ def test_ac7_structural_invariants(fc2, fc3, fc4):
     for _, loop in sample_realized(fc2, 2, rng, out_and_back_word, want=6):
         hs = homotopies_for(loop, fc2, [1, 2])
         for h in hs.values():
-            assert verify_containment(h, resolution=F(1, 81)).ok
+            assert verify_containment(h).ok
             built += 1
 
     # non-crossing law on every enumerated diagram of sampled words

@@ -6,11 +6,13 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpetloop import (
     CancellationDiagram,
     DefiningSequence,
     TraceWord,
+    TrivialUpTo,
     build_cellulation,
     build_homotopy,
     circle_param,
@@ -18,6 +20,7 @@ from carpetloop import (
     classify_squares,
     convergence_gap,
     corridors,
+    decide,
     encode_word,
     enumerate_diagrams,
     evaluate,
@@ -28,9 +31,33 @@ from carpetloop.errors import (
     IncompatibleHomotopies,
     MalformedDiagram,
 )
-from carpetloop.homotopy import _clamp_to_region, _free_target, _segment_in_cells
+from carpetloop.homotopy import (
+    FaceFill,
+    Target,
+    _cross,
+    _float_orient,
+    _free_target,
+    _segment_in_cells,
+)
+from carpetloop.serialize import loop_from_json
 
-from conftest import out_and_back_word, realized_loop, word_from_letters
+from conftest import (
+    closed_walk_word,
+    gap_oracle,
+    out_and_back_word,
+    random_explicit_space,
+    realized_loop,
+    word_from_letters,
+)
+
+# A depth-4 loop whose filling needs a "plus" target: a free face's
+# values wrap around a hole, so no snapped box is hole-free.
+PLUS_LOOP = {
+    "vertices": [
+        ["19/54", "121/162"], ["53/162", "121/162"], ["53/162", "13/18"],
+        ["35/108", "13/18"], ["35/108", "241/324"], ["19/54", "241/324"],
+    ]
+}
 
 
 def homotopies_for(loop, seq, levels):
@@ -54,6 +81,21 @@ def homotopies_for(loop, seq, levels):
             loop, seq, lvl, d, word=w, extra_params=sorted(marks)
         )
     return out
+
+
+def scheme_homotopies(loop, seq):
+    """Fillings at every level from the decided scheme, over shared marks."""
+    v = decide(loop, seq)
+    assert isinstance(v, TrivialUpTo) and v.conclusive, v
+    levels = range(1, seq.depth + 1)
+    words = [encode_word(loop, seq, i) for i in levels]
+    marks = sorted(
+        {t for w in words for l in w.letters for t in (l.interval.start, l.interval.end % 1)}
+    )
+    return [
+        build_homotopy(loop, seq, i, d, word=w, extra_params=marks)
+        for i, w, d in zip(levels, words, v.scheme.diagrams)
+    ]
 
 
 def sample_loop(seq, level, rng, max_len=3):
@@ -167,7 +209,7 @@ class TestFilling:
                 seen.update(h.target_kinds)
                 rep = verify_containment(h)
                 assert rep.ok, rep.violations[:2]
-                assert rep.exact_faces + rep.sampled_faces == len(h.fills)
+                assert rep.exact_faces == len(h.fills)
         assert set(seen) <= {"junction", "corridor", "rect", "plus"}
         assert seen["corridor"] > 0
 
@@ -236,11 +278,10 @@ class TestFilling:
         loop = sample_loop(fc2, 2, rng)
         h = homotopies_for(loop, fc2, (1,))[1]
         bad = (F(4, 9), F(4, 9))
-        idx = next(j for j, f in enumerate(h.fills) if not f.clamped)
-        fill = h.fills[idx]
+        fill = h.fills[0]
         dom = fill.triangles[0][0]
         fills = list(h.fills)
-        fills[idx] = replace(fill, triangles=((dom, (bad, bad, bad)),))
+        fills[0] = replace(fill, triangles=((dom, (bad, bad, bad)),))
         tampered = replace(h, fills=tuple(fills))
         rep = verify_containment(tampered)
         assert not rep.ok
@@ -275,23 +316,20 @@ class TestFreeTargets:
         with pytest.raises(AssignmentFailure):
             _free_target(fc1, 1, vals, [(vals[0], vals[1])])
 
-    def test_clamp_identity_inside(self):
-        cells = ((0, 0), (0, 1), (1, 0))
-        center = (F(1, 6), F(1, 6))
-        for p in ((F(1, 6), F(1, 6)), (F(1, 3), F(1, 6)), (F(1, 6), F(2, 3))):
-            assert _clamp_to_region(p, center, cells, 3) == p
-
-    def test_clamp_hits_region_boundary(self):
-        cells = ((0, 0), (0, 1), (1, 0))
-        center = (F(1, 6), F(1, 6))
-        assert _clamp_to_region((F(1, 6), F(9, 10)), center, cells, 3) == (
-            F(1, 6),
-            F(2, 3),
-        )
-        assert _clamp_to_region((F(5, 6), F(5, 6)), center, cells, 3) == (
-            F(1, 3),
-            F(1, 3),
-        )
+    def test_plus_faces_are_affine_and_contained(self, fc4):
+        loop = loop_from_json(PLUS_LOOP)
+        hs = scheme_homotopies(loop, fc4)
+        assert any("plus" in h.target_kinds for h in hs)
+        for h in hs:
+            rep = verify_containment(h)
+            assert rep.exact_faces == len(h.fills)
+            assert rep.ok, rep.violations[:2]
+            for f in h.fills:
+                if f.target.kind == "plus":
+                    assert all(val[0] == f.target.center for _, val in f.triangles)
+        for a, b in zip(hs, hs[1:]):
+            g = convergence_gap(a, b)
+            assert g.holds, (g.level_pair, g.max_sq)
 
     def test_segment_in_cells(self):
         region = {(0, 0), (0, 1)}
@@ -306,15 +344,11 @@ class TestGap:
         rng = random.Random(61)
         loop = sample_loop(fc3, 2, rng)
         homs = homotopies_for(loop, fc3, (1, 2, 3))
-        prev = None
         for lvl in (1, 2):
             g = convergence_gap(homs[lvl], homs[lvl + 1])
             assert g.holds
             assert g.bound == F(6, 3**lvl)
             assert g.max_sq <= g.bound**2
-            if g.exact and prev is not None and prev.exact:
-                pass  # monotonicity is typical but not promised
-            prev = g
 
     def test_gap_requires_consecutive_levels(self, fc3):
         rng = random.Random(67)
@@ -340,3 +374,140 @@ class TestGap:
         h2 = homotopies_for(loop, fc2, (2,))[2]
         with pytest.raises(IncompatibleHomotopies):
             convergence_gap(h1, h2)
+
+
+def assert_gap_matches_oracle(h1, h2):
+    """The edge-pair gap agrees exactly with the triangle-pair overlay."""
+    g = convergence_gap(h1, h2)
+    max_sq, _ = gap_oracle(h1, h2)
+    assert g.max_sq == max_sq, (g.level_pair, g.max_sq, max_sq)
+    assert g.holds == (max_sq <= g.bound**2)
+    if g.witness is None:
+        assert g.max_sq == 0
+    else:
+        v1, v2 = evaluate(h1, g.witness), evaluate(h2, g.witness)
+        assert (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2 == g.max_sq
+
+
+def _square_corners():
+    """Corners of the square [-1/2, 1/2]^2, counterclockwise from (-1/2, -1/2)."""
+    h = F(1, 2)
+    return (-h, -h), (h, -h), (h, h), (-h, h)
+
+
+def _with_triangles(h, tris):
+    """A copy of h whose map is the given (domain, values) triangles."""
+    return replace(h, fills=(FaceFill(0, Target("rect"), tuple(tris)),))
+
+
+class TestGapOverlay:
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_matches_oracle_on_explicit_spaces(self, depth):
+        # Closed walks in spaces that keep some odd-odd cells may cross
+        # corridors that commute; draw until the disk has junction faces.
+        rng = random.Random(97 + depth)
+        for _ in range(200):
+            seq = random_explicit_space(depth, rng)
+            loop = realized_loop(seq, closed_walk_word(seq, depth, rng, wander=4))
+            if loop is None or not isinstance(decide(loop, seq), TrivialUpTo):
+                continue
+            homs = homotopies_for(loop, seq, range(1, depth + 1))
+            if homs[depth].cellulation.crossings:
+                break
+        else:
+            pytest.fail("no contractible walk with crossing chords drawn")
+        for lvl in range(1, depth):
+            assert_gap_matches_oracle(homs[lvl], homs[lvl + 1])
+
+    def test_matches_oracle_on_full_carpets(self, fc2, fc3, fc4):
+        rng = random.Random(79)
+        for seq in (fc2, fc3, fc4):
+            loop = sample_loop(seq, seq.depth, rng)
+            homs = homotopies_for(loop, seq, range(1, seq.depth + 1))
+            for lvl in range(1, seq.depth):
+                assert_gap_matches_oracle(homs[lvl], homs[lvl + 1])
+
+    def test_matches_oracle_on_plus_faces(self, fc4):
+        hs = scheme_homotopies(loop_from_json(PLUS_LOOP), fc4)
+        for a, b in zip(hs, hs[1:]):
+            assert_gap_matches_oracle(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-1, max_value=1, max_denominator=10**12),
+            min_size=4,
+            max_size=4,
+        ),
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+        st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+        st.integers(10, 22),
+    )
+    def test_float_orientation_never_contradicts_exact(self, xy, t, offset, scale):
+        # b lies offset * 10^-scale off the line through o and a: collinear
+        # and near-collinear triples, where rounding could flip a sign.
+        o, a = (xy[0], xy[1]), (xy[2], xy[3])
+        clip = lambda v: min(F(1), max(F(-1), v))
+        e = F(1, 10**scale)
+        b = tuple(clip(o[k] + t * (a[k] - o[k]) + offset[k] * e) for k in (0, 1))
+        for p, q, r in ((o, a, b), (a, b, o), (b, o, a), (o, b, a)):
+            s = _float_orient(*map(float, p + q + r))
+            exact = _cross(p, q, r)
+            assert s == 0 or s == (1 if exact > 0 else -1), (p, q, r, s, exact)
+
+    def test_float_orientation_decides_clear_cases(self):
+        o, a, b = (F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 3))
+        assert _float_orient(*map(float, o + a + b)) == 1
+        assert _float_orient(*map(float, o + b + a)) == -1
+        assert _float_orient(*map(float, o + a + (F(1, 4), F(0)))) == 0
+
+    def test_t_junction_and_collinear_overlap(self, fc2):
+        # The first mesh cuts the square along its diagonal; the second
+        # has two vertices on that diagonal, so one of its edges runs
+        # along the diagonal without sharing an endpoint and four of its
+        # edges end on it.  The largest difference sits on such a vertex.
+        homs = homotopies_for(sample_loop(fc2, 2, random.Random(83)), fc2, (1, 2))
+        p00, p10, p11, p01 = _square_corners()
+        q1, q2 = (F(-1, 4), F(-1, 4)), (F(1, 4), F(1, 4))
+        same = lambda *dom: (dom, dom)
+        h1 = _with_triangles(homs[1], [same(p00, p10, p11), same(p00, p11, p01)])
+        bumped = (q2[0] + F(1, 10), q2[1])
+        tris2 = [
+            same(p00, p10, q1),
+            ((q1, p10, q2), (q1, p10, bumped)),
+            ((q2, p10, p11), (bumped, p10, p11)),
+            same(p00, q1, p01),
+            ((q1, q2, p01), (q1, bumped, p01)),
+            ((q2, p11, p01), (bumped, p11, p01)),
+        ]
+        h2 = _with_triangles(homs[2], tris2)
+        g = convergence_gap(h1, h2)
+        assert g.max_sq == gap_oracle(h1, h2)[0] == F(1, 100)
+        assert g.witness == q2
+        assert g.pairs_checked > 0
+
+    def test_proper_crossing_is_the_maximum(self, fc2):
+        # The meshes cut the square along opposite diagonals and push
+        # their diagonal ends apart, so the maps differ most where the
+        # diagonals cross, a corner neither mesh has as a vertex.
+        homs = homotopies_for(sample_loop(fc2, 2, random.Random(89)), fc2, (1, 2))
+        p00, p10, p11, p01 = _square_corners()
+        right = lambda p: (p[0] + F(1, 10), p[1])
+        left = lambda p: (p[0] - F(1, 10), p[1])
+        h1 = _with_triangles(
+            homs[1],
+            [
+                ((p00, p10, p11), (right(p00), p10, right(p11))),
+                ((p00, p11, p01), (right(p00), right(p11), p01)),
+            ],
+        )
+        h2 = _with_triangles(
+            homs[2],
+            [
+                ((p00, p10, p01), (p00, left(p10), left(p01))),
+                ((p10, p11, p01), (left(p10), p11, left(p01))),
+            ],
+        )
+        g = convergence_gap(h1, h2)
+        assert g.max_sq == gap_oracle(h1, h2)[0] == F(4, 100)
+        assert g.witness == (F(0), F(0))
