@@ -21,11 +21,11 @@ from .decide import (
     check_certificate,
     Certificate,
     decide,
+    level_words,
     make_certificate,
 )
 from .errors import CapExceeded, CarpetLoopError
 from .grid import DefiningSequence, PolyLoop, validate_loop
-from .freegroup import puncture_word
 from .render import render_space
 from .serialize import (
     FormatError,
@@ -104,15 +104,14 @@ def cmd_encode(args) -> int:
     seq = _load_space(args.space)
     loop = _load_loop(args.loop)
     n = args.level if args.level is not None else seq.depth
-    report = validate_loop(loop, seq, seq.depth)
-    if not report.ok:
-        _emit({"error": report.first.describe()})
-        return EXIT_INPUT
     words = {}
     free = {}
-    for i in range(1, n + 1):
-        words[str(i)] = encode_word(loop, seq, i, tie_break=args.tie_break).text
-        free[str(i)] = puncture_word(loop, seq, i).text
+    for lv in level_words(loop, seq, n):
+        if isinstance(lv, Inconclusive):
+            _emit({"error": lv.reason})
+            return _verdict_exit(lv)
+        words[str(lv.level)] = lv.word.text
+        free[str(lv.level)] = lv.free.text
     _emit({"levels": n, "words": words, "free_words": free})
     return EXIT_OK
 
@@ -120,7 +119,7 @@ def cmd_encode(args) -> int:
 def cmd_decide(args) -> int:
     seq = _load_space(args.space)
     loop = _load_loop(args.loop)
-    v = decide(loop, seq, N=args.level, caps=_caps(args), tie_break=args.tie_break)
+    v = decide(loop, seq, N=args.level, caps=_caps(args))
     _emit(_verdict_json(v))
     return _verdict_exit(v)
 
@@ -128,9 +127,7 @@ def cmd_decide(args) -> int:
 def cmd_certify(args) -> int:
     seq = _load_space(args.space)
     loop = _load_loop(args.loop)
-    v, cert = make_certificate(
-        loop, seq, N=args.level, caps=_caps(args), tie_break=args.tie_break
-    )
+    v, cert = make_certificate(loop, seq, N=args.level, caps=_caps(args))
     out = _verdict_json(v)
     if cert is not None:
         out["certificate"] = cert.to_json()
@@ -252,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "grid-carpet complements.",
     )
     p.add_argument("-v", "--verbose", action="count", default=0)
-    p.add_argument(
-        "--seed", type=int, default=None, help="reserved for sampling commands"
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_io(sp, loop_required=True):
@@ -266,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search(sp):
         sp.add_argument(
             "--level", "--depth", type=int, default=None, dest="level"
-        )
-        sp.add_argument(
-            "--tie-break", choices=("h_first", "v_first"), default="h_first"
         )
         sp.add_argument(
             "--caps", type=int, default=None, help="shorthand for both caps"

@@ -9,15 +9,16 @@ conclusive exactly when no removed square lies deeper than the levels
 examined.  Anything that prevents an honest answer (invalid input,
 search caps, degenerate ray positions) comes back as Inconclusive
 rather than a guess.
+
+Deciding, certifying, checking a certificate and the CLI's encode all
+read the loop through level_words, which validates the loop before any
+level and computes each level's words once.  Nothing here writes files.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import tempfile
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Union
 
 from .errors import (
     CapExceeded,
@@ -29,13 +30,7 @@ from .errors import (
 )
 from .freegroup import FreeWord, puncture_word
 from .grid import DefiningSequence, PolyLoop, validate_loop
-from .serialize import (
-    canonical_json,
-    diagram_to_json,
-    loop_to_json,
-    sha256_hex,
-    space_to_json,
-)
+from .serialize import diagram_to_json, loop_hash, space_hash
 from .traces import (
     CancellationDiagram,
     CoherentScheme,
@@ -46,9 +41,7 @@ from .traces import (
     induce_diagram,
     trace_trivial,
 )
-from .words import CyclicWord, RefinementCorrespondence, encode_word, refinement_map
-
-log = logging.getLogger(__name__)
+from .words import CyclicWord, encode_word, refinement_map
 
 
 @dataclass(frozen=True)
@@ -73,30 +66,49 @@ class Inconclusive:
 Verdict = Union[Nontrivial, TrivialUpTo, Inconclusive]
 
 
-@dataclass
-class Evidence:
-    words: list[CyclicWord] = field(default_factory=list)
-    free_words: list[FreeWord] = field(default_factory=list)
-    refinements: list[RefinementCorrespondence] = field(default_factory=list)
-    scheme: Optional[CoherentScheme] = None
+@dataclass(frozen=True)
+class LevelWords:
+    """The loop's corridor word and reduced puncture word at one level."""
+
+    level: int
+    word: CyclicWord
+    free: FreeWord
 
 
-def _dump_corroboration_failure(
-    loop: PolyLoop, seq: DefiningSequence, i: int, word: CyclicWord, free: FreeWord
-) -> str:
-    payload = canonical_json(
-        {
-            "level": i,
-            "space": space_to_json(seq),
-            "loop": loop_to_json(loop),
-            "word": word.text,
-            "free_word": free.text,
-        }
-    )
-    fd, path = tempfile.mkstemp(prefix="carpetloop-disagreement-", suffix=".json")
-    with os.fdopen(fd, "w") as f:
-        f.write(payload)
-    return path
+def level_words(
+    loop: PolyLoop, seq: DefiningSequence, N: int
+) -> Iterator[Union[LevelWords, Inconclusive]]:
+    """Validate the loop through seq.depth, then yield levels 1..N in order.
+
+    Each level's corridor word and puncture word are computed once, and
+    the piling verdict on the corridor word is checked against free
+    reduction.  A failure is yielded as an Inconclusive of kind
+    "validation", "degeneracy" or "internal" and ends the iteration.
+    """
+    seq.check_level(N)
+    report = validate_loop(loop, seq, seq.depth)
+    if not report.ok:
+        yield Inconclusive(report.first.describe(), "validation")
+        return
+    for i in range(1, N + 1):
+        try:
+            free = puncture_word(loop, seq, i)
+            word = encode_word(loop, seq, i)
+        except DegeneratePosition as e:
+            yield Inconclusive(str(e), "degeneracy")
+            return
+        # Independent cross-check: the piling verdict on the corridor
+        # word must agree with reduction in the free group.
+        piled = trace_trivial(TraceWord.from_cyclic(word))
+        if piled != free.is_identity:
+            yield Inconclusive(
+                f"internal disagreement at level {i} (piling trivial={piled}, "
+                f"free trivial={free.is_identity}); word {word.text!r}, "
+                f"free word {free.text!r}",
+                "internal",
+            )
+            return
+        yield LevelWords(i, word, free)
 
 
 def max_hole_level(seq: DefiningSequence) -> int:
@@ -108,57 +120,26 @@ def _decide_full(
     seq: DefiningSequence,
     N: Optional[int] = None,
     caps: SearchCaps = SearchCaps(),
-    tie_break: str = "h_first",
-) -> tuple[Verdict, Evidence]:
+) -> tuple[Verdict, list[LevelWords]]:
     N = seq.depth if N is None else N
-    seq.check_level(N)
-    ev = Evidence()
+    levels: list[LevelWords] = []
+    for lv in level_words(loop, seq, N):
+        if isinstance(lv, Inconclusive):
+            return lv, levels
+        levels.append(lv)
+        if not lv.free.is_identity:
+            return Nontrivial(lv.level, lv.free), levels
 
-    report = validate_loop(loop, seq, seq.depth)
-    if not report.ok:
-        return Inconclusive(report.first.describe(), "validation"), ev
-
-    for i in range(1, N + 1):
-        try:
-            free = puncture_word(loop, seq, i)
-        except DegeneratePosition as e:
-            return Inconclusive(str(e), "degeneracy"), ev
-        word = encode_word(loop, seq, i, tie_break=tie_break)
-        # Independent cross-check: the piling verdict on the corridor
-        # word must agree with reduction in the free group.
-        piled = trace_trivial(TraceWord.from_cyclic(word))
-        if piled != free.is_identity:
-            path = _dump_corroboration_failure(loop, seq, i, word, free)
-            log.error(
-                "level-%d verdicts disagree (piling=%s, free=%s); "
-                "inputs saved to %s",
-                i,
-                piled,
-                free.is_identity,
-                path,
-            )
-            return (
-                Inconclusive(
-                    f"internal disagreement at level {i}; details in {path}",
-                    "internal",
-                ),
-                ev,
-            )
-        ev.words.append(word)
-        ev.free_words.append(free)
-        if not free.is_identity:
-            return Nontrivial(i, free), ev
-
+    words = [lv.word for lv in levels]
     try:
-        for i in range(1, N):
-            ev.refinements.append(refinement_map(loop, seq, i, tie_break=tie_break))
+        refinements = [refinement_map(a, b) for a, b in zip(words, words[1:])]
     except RefinementViolation as e:
-        return Inconclusive(f"refinement failed on a valid loop: {e}", "internal"), ev
+        return Inconclusive(f"refinement failed on a valid loop: {e}", "internal"), levels
 
     try:
-        scheme = coherent_scheme(ev.words, ev.refinements, caps=caps)
+        scheme = coherent_scheme(words, refinements, caps=caps)
     except CapExceeded as e:
-        return Inconclusive(str(e), "caps"), ev
+        return Inconclusive(str(e), "caps"), levels
     except NotFoundError as e:
         return (
             Inconclusive(
@@ -166,11 +147,10 @@ def _decide_full(
                 "this contradicts the expected theory",
                 "internal",
             ),
-            ev,
+            levels,
         )
-    ev.scheme = scheme
     conclusive = max_hole_level(seq) <= N
-    return TrivialUpTo(N, scheme, conclusive), ev
+    return TrivialUpTo(N, scheme, conclusive), levels
 
 
 def decide(
@@ -178,10 +158,9 @@ def decide(
     seq: DefiningSequence,
     N: Optional[int] = None,
     caps: SearchCaps = SearchCaps(),
-    tie_break: str = "h_first",
 ) -> Verdict:
     """Decide contractibility of the loop through level N (default: depth)."""
-    verdict, _ = _decide_full(loop, seq, N, caps, tie_break)
+    verdict, _ = _decide_full(loop, seq, N, caps)
     return verdict
 
 
@@ -238,39 +217,34 @@ def make_certificate(
     seq: DefiningSequence,
     N: Optional[int] = None,
     caps: SearchCaps = SearchCaps(),
-    tie_break: str = "h_first",
 ) -> tuple[Verdict, Optional[Certificate]]:
-    verdict, ev = _decide_full(loop, seq, N, caps, tie_break)
+    verdict, levels = _decide_full(loop, seq, N, caps)
     if isinstance(verdict, Inconclusive):
         return verdict, None
-    space_sha = sha256_hex(canonical_json(space_to_json(seq)))
-    loop_sha = sha256_hex(canonical_json(loop_to_json(loop)))
+    shared = dict(
+        space_sha=space_hash(seq),
+        loop_sha=loop_hash(loop),
+        words=tuple(lv.word.text for lv in levels),
+        free_words=tuple(lv.free.text for lv in levels),
+    )
     if isinstance(verdict, Nontrivial):
         cert = Certificate(
             kind="nontrivial",
             level=verdict.level,
-            space_sha=space_sha,
-            loop_sha=loop_sha,
-            words=tuple(w.text for w in ev.words),
-            free_words=tuple(w.text for w in ev.free_words),
             witness=verdict.witness.text,
             diagrams=(),
             conclusive=None,
+            **shared,
         )
-        return verdict, cert
-    cert = Certificate(
-        kind="trivial_up_to",
-        level=verdict.depth,
-        space_sha=space_sha,
-        loop_sha=loop_sha,
-        words=tuple(w.text for w in ev.words),
-        free_words=tuple(w.text for w in ev.free_words),
-        witness=None,
-        diagrams=tuple(
-            tuple(d.sorted_pairs) for d in verdict.scheme.diagrams
-        ),
-        conclusive=verdict.conclusive,
-    )
+    else:
+        cert = Certificate(
+            kind="trivial_up_to",
+            level=verdict.depth,
+            witness=None,
+            diagrams=tuple(tuple(d.sorted_pairs) for d in verdict.scheme.diagrams),
+            conclusive=verdict.conclusive,
+            **shared,
+        )
     return verdict, cert
 
 
@@ -281,16 +255,18 @@ class CheckReport:
 
 
 def check_certificate(
-    cert: Certificate, loop: PolyLoop, seq: DefiningSequence, tie_break: str = "h_first"
+    cert: Certificate, loop: PolyLoop, seq: DefiningSequence
 ) -> CheckReport:
     """Replay a certificate against its claimed inputs.
 
-    Recomputes only what the certificate asserts: hashes, per-level
-    words up to the stated level, the witness or the diagram chain.
+    Checks the hashes, then runs level_words to the stated level, which
+    validates the loop, and compares the per-level words and the witness
+    or the diagram chain.  Every defect in the certificate or its inputs
+    comes back as a failed report; nothing is raised for it.
     """
-    if sha256_hex(canonical_json(space_to_json(seq))) != cert.space_sha:
+    if space_hash(seq) != cert.space_sha:
         return CheckReport(False, "space hash mismatch")
-    if sha256_hex(canonical_json(loop_to_json(loop))) != cert.loop_sha:
+    if loop_hash(loop) != cert.loop_sha:
         return CheckReport(False, "loop hash mismatch")
     if cert.kind not in ("nontrivial", "trivial_up_to"):
         return CheckReport(False, f"unknown kind {cert.kind!r}")
@@ -300,23 +276,18 @@ def check_certificate(
         return CheckReport(False, "wrong number of per-level words")
 
     words = []
-    for i in range(1, cert.level + 1):
-        try:
-            free = puncture_word(loop, seq, i)
-        except DegeneratePosition as e:
-            return CheckReport(False, f"degenerate input at level {i}: {e}")
-        word = encode_word(loop, seq, i, tie_break=tie_break)
-        words.append(word)
-        if word.text != cert.words[i - 1]:
+    for lv in level_words(loop, seq, cert.level):
+        if isinstance(lv, Inconclusive):
+            return CheckReport(False, f"{lv.kind} failure: {lv.reason}")
+        i = lv.level
+        if lv.word.text != cert.words[i - 1]:
             return CheckReport(False, f"level-{i} word mismatch")
-        if free.text != cert.free_words[i - 1]:
+        if lv.free.text != cert.free_words[i - 1]:
             return CheckReport(False, f"level-{i} free word mismatch")
-        if cert.kind == "nontrivial":
-            expect_identity = i < cert.level
-        else:
-            expect_identity = True
-        if free.is_identity != expect_identity:
+        expect_identity = cert.kind == "trivial_up_to" or i < cert.level
+        if lv.free.is_identity != expect_identity:
             return CheckReport(False, f"level-{i} triviality mismatch")
+        words.append(lv.word)
 
     if cert.kind == "nontrivial":
         if cert.witness != cert.free_words[-1]:
@@ -334,11 +305,14 @@ def check_certificate(
         if not valid:
             return CheckReport(False, f"level-{i} diagram invalid")
     for i in range(1, cert.level):
-        corr = refinement_map(loop, seq, i, tie_break=tie_break)
         try:
-            induced = induce_diagram(diagrams[i], corr)
+            induced = induce_diagram(diagrams[i], refinement_map(words[i - 1], words[i]))
+        except RefinementViolation as e:
+            return CheckReport(False, f"levels {i} and {i + 1} do not refine: {e}")
         except NoInducedDiagram as e:
             return CheckReport(False, f"level-{i + 1} diagram induces nothing: {e}")
+        except CapExceeded as e:
+            return CheckReport(False, f"level-{i + 1} diagram induces too many: {e}")
         if diagrams[i - 1] not in induced:
             return CheckReport(
                 False, f"level-{i + 1} diagram does not induce the level-{i} one"

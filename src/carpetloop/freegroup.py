@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
 
 from .errors import DegeneratePosition
 from .grid import DefiningSequence, GridSquare, PolyLoop, Point

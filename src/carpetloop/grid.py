@@ -9,8 +9,7 @@ corridor pieces the word calculus is built on.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -215,15 +214,6 @@ class Corridor:
     def transverse(self) -> tuple[Fraction, Fraction]:
         n = _pow3(self.level)
         return (Fraction(2 * self.stratum - 1, n), Fraction(2 * self.stratum, n))
-
-    @property
-    def boundary_lines(self) -> tuple[Fraction, Fraction]:
-        return self.transverse
-
-    @property
-    def center_line(self) -> Fraction:
-        lo, hi = self.transverse
-        return (lo + hi) / 2
 
     @property
     def rect(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -124,21 +124,18 @@ def _lerp(p: Point, q: Point, t: Fraction) -> Point:
 def _segments_cross(
     a: Point, b: Point, c: Point, d: Point
 ) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameters (s, t) of a crossing a+s(b-a) = c+t(d-c), else None.
+    """Parameters (s, t) of a proper crossing a+s(b-a) = c+t(d-c), else None.
 
-    Shared endpoints and collinear contact return None; polygon chords
-    never overlap collinearly because a line meets the circle twice.  An
-    endpoint of one segment lying on the other is returned only when the
-    first segment's other end lies to the left of the second, so callers
-    after proper crossings skip results at endpoints.
+    A crossing is proper when each segment has its two ends strictly on
+    opposite sides of the other's line, so 0 < s, t < 1.  Any contact at
+    an endpoint (a shared endpoint, an endpoint on the other segment) and
+    any collinear contact returns None.
     """
-    if a == c or a == d or b == c or b == d:
-        return None
     d1 = _cross(a, b, c)
     d2 = _cross(a, b, d)
     d3 = _cross(c, d, a)
     d4 = _cross(c, d, b)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2:
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return d3 / (d3 - d4), d1 / (d1 - d2)
     return None
 
@@ -559,7 +556,6 @@ def build_homotopy(
     diagram: CancellationDiagram,
     *,
     word: Optional[CyclicWord] = None,
-    tie_break: str = "h_first",
     extra_params: Iterable[Fraction] = (),
 ) -> LevelHomotopy:
     """Fill the disk over a cancellation diagram for the level-i word.
@@ -575,7 +571,7 @@ def build_homotopy(
     """
     seq.check_level(i)
     if word is None:
-        word = encode_word(loop, seq, i, tie_break=tie_break)
+        word = encode_word(loop, seq, i)
     if word.level != i:
         raise ValueError(f"word level {word.level} differs from target level {i}")
     params = [loop.vertex_param(j) for j in range(len(loop))]

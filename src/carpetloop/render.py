@@ -7,7 +7,7 @@ given scene always renders to byte-identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .grid import DefiningSequence, PolyLoop, corridors as _corridors
 from .homotopy import LevelHomotopy

@@ -10,8 +10,8 @@ never makes another deletable pair undeletable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, MalformedDiagram, NoInducedDiagram, NotFoundError
 from .words import CyclicWord, RefinementCorrespondence
@@ -322,10 +322,7 @@ def _induce_candidates(
     cap: int = 100_000,
 ) -> tuple[CancellationDiagram, ...]:
     coarse = TraceWord.from_cyclic(corr.coarse_word)
-    try:
-        forced = _forced_pairs(d_fine, corr)
-    except NoInducedDiagram:
-        raise
+    forced = _forced_pairs(d_fine, corr)
     try:
         return enumerate_diagrams(coarse, cap=cap, budget=budget, preassigned=forced)
     except MalformedDiagram as exc:

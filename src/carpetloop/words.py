@@ -8,11 +8,10 @@ consecutive levels; realization inverts encoding for abstract words.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegeneratePosition, RefinementViolation, Unroutable
 from .grid import (
@@ -228,35 +227,17 @@ def crossing_relation(seq: DefiningSequence, i: int) -> frozenset[frozenset]:
     return frozenset(pairs)
 
 
-def encode_word(
-    loop: PolyLoop,
-    seq: DefiningSequence,
-    i: int,
-    tie_break: str = "h_first",
-) -> CyclicWord:
+def encode_word(loop: PolyLoop, seq: DefiningSequence, i: int) -> CyclicWord:
     """Read off the level-i cyclic word of a validated loop.
 
     Letters are ordered by interval start; two letters can share a start
     only across orientations (a corner-adjacent crossing), where the
-    relation makes them commute and tie_break fixes the written order.
+    relation makes them commute and the H letter is written first.
     """
-    if tie_break not in ("h_first", "v_first"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
     ih, iv = crossing_intervals(loop, seq, i)
-    rank = {"H": 0, "V": 1} if tie_break == "h_first" else {"H": 1, "V": 0}
-    letters = [
-        Letter(c.corridor, c.sign, c)
-        for c in itertools.chain(ih, iv)
-        if c.full
-    ]
-    letters.sort(
-        key=lambda l: (
-            l.interval.start,
-            rank[l.corridor.orientation],
-            l.corridor.stratum,
-            l.corridor.extent[0],
-        )
-    )
+    letters = [Letter(c.corridor, c.sign, c) for c in ih + iv if c.full]
+    # Corridors order by orientation ("H" < "V"), then stratum and extent.
+    letters.sort(key=lambda l: (l.interval.start, l.corridor))
     present = {l.generator for l in letters}
     relation = frozenset(
         pair for pair in crossing_relation(seq, i) if pair <= present
@@ -277,11 +258,6 @@ class RefinementCorrespondence:
     fine_word: CyclicWord
     ends: tuple[tuple[int, int], ...]
 
-    @property
-    def merges(self) -> tuple[tuple[int, int, int], ...]:
-        """(fine first, fine last, coarse parent) triples."""
-        return tuple((f, l, j) for j, (f, l) in enumerate(self.ends))
-
     def role_of_fine(self, fidx: int) -> Optional[tuple[int, str]]:
         for j, (f, l) in enumerate(self.ends):
             if fidx == f:
@@ -300,20 +276,19 @@ def _substrata(m: int) -> tuple[int, int]:
     return (3 * m - 1, 3 * m)
 
 
-def refinement_map(
-    loop: PolyLoop, seq: DefiningSequence, i: int, tie_break: str = "h_first"
-) -> RefinementCorrespondence:
+def refinement_map(coarse: CyclicWord, fine: CyclicWord) -> RefinementCorrespondence:
     """Match each level-i letter with its boundary sub-letters at level i+1.
 
-    A full level-i crossing starts with a full crossing of the entry-side
-    substratum at the same parameter and ends with one of the exit-side
-    substratum at the same parameter; every check failure raises
-    RefinementViolation with the offending letter.
+    Both words are encode_word results for the same loop at consecutive
+    levels.  A full level-i crossing starts with a full crossing of the
+    entry-side substratum at the same parameter and ends with one of the
+    exit-side substratum at the same parameter; every check failure
+    raises RefinementViolation with the offending letter.
     """
-    seq.check_level(i)
-    seq.check_level(i + 1)
-    coarse = encode_word(loop, seq, i, tie_break)
-    fine = encode_word(loop, seq, i + 1, tie_break)
+    if fine.level != coarse.level + 1:
+        raise ValueError(
+            f"word levels {coarse.level} and {fine.level} are not consecutive"
+        )
     ends = []
     for j, parent in enumerate(coarse.letters):
         m = parent.corridor.stratum
@@ -389,9 +364,6 @@ def _open_intervals_meet(a: CrossingInterval, b: CrossingInterval) -> bool:
 
 # ---------------------------------------------------------------------------
 # Realization: route an abstract word back into the space.
-
-
-_DYADIC_SLOTS = None
 
 
 def _dyadic(slot: int) -> Fraction:

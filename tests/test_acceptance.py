@@ -248,8 +248,9 @@ def test_ac7_structural_invariants(fc2, fc3, fc4):
     loops_checked = 0
     for seq, level, want in plan:
         for _, loop in sample_realized(seq, level, rng, closed_walk_word, want=want):
-            for i in range(1, seq.depth):
-                refinement_map(loop, seq, i)  # raises on any (R1)/(R2) breach
+            words = [encode_word(loop, seq, i) for i in range(1, seq.depth + 1)]
+            for coarse, fine in zip(words, words[1:]):
+                refinement_map(coarse, fine)  # raises on any (R1)/(R2) breach
             loops_checked += 1
 
     # containment stays clean on freshly built homotopies

@@ -154,6 +154,20 @@ class TestCertifyCheck:
         assert code == 0
         assert rep == {"ok": True, "reason": ""}
 
+    def test_corner_tie_round_trip(self, capsys, tmp_path):
+        seq = DefiningSequence.explicit(1, [])
+        loop = PolyLoop(((F(5, 6), F(1, 6)), (F(1, 6), F(5, 6)), (F(5, 6), F(5, 6))))
+        io = [
+            "--space", write_json(tmp_path / "s.json", space_to_json(seq)),
+            "--loop", write_json(tmp_path / "l.json", loop_to_json(loop)),
+        ]
+        code, out = run(capsys, ["certify", *io])
+        assert code == 0 and out["verdict"] == "trivial_up_to"
+        assert out["certificate"]["words"] == ["H:1:1:0/1+ V:1:1:0/1- V:1:1:0/1+ H:1:1:0/1-"]
+        cert = write_json(tmp_path / "cert.json", out)
+        code, rep = run(capsys, ["check", *io, "--cert", cert])
+        assert code == 0 and rep == {"ok": True, "reason": ""}
+
     def test_trivial_certificate_checks(self, capsys, files, tmp_path):
         code, out = run(
             capsys, ["certify", "--space", files["space"], "--loop", files["triangle"]]

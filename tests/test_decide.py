@@ -1,6 +1,9 @@
 """Verdicts and replayable certificates."""
 
+import os
 import random
+import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,8 +20,11 @@ from carpetloop import (
     central_ring,
     check_certificate,
     decide,
+    encode_word,
     make_certificate,
+    puncture_word,
 )
+from carpetloop.serialize import loop_hash, space_hash
 
 from conftest import out_and_back_word, realized_loop
 
@@ -83,6 +89,18 @@ class TestVerdicts:
         assert v.kind == "degeneracy"
         assert "ray" in v.reason
 
+    def test_disagreement_is_internal_and_writes_nothing(self, fc1, tmp_path, monkeypatch):
+        module = sys.modules["carpetloop.decide"]
+        piling = module.trace_trivial
+        monkeypatch.setattr(module, "trace_trivial", lambda w: not piling(w))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        v = decide(central_ring(fc1), fc1)
+        assert isinstance(v, Inconclusive)
+        assert v.kind == "internal"
+        assert "level 1" in v.reason and "g[1,1,1]" in v.reason
+        assert os.listdir(tmp_path) == []
+
     def test_tight_caps_inconclusive(self, fc2):
         rng = random.Random(89)
         loop = trivial_loop(fc2, 2, rng)
@@ -121,10 +139,41 @@ class TestCertificates:
         assert cert.conclusive is False
         assert check_certificate(cert, loop, fc2).ok
 
+    def test_each_level_encoded_once(self, fc3, monkeypatch):
+        loop = trivial_loop(fc3, 3, random.Random(79))
+        module = sys.modules["carpetloop.decide"]
+        encode, levels = module.encode_word, []
+        monkeypatch.setattr(
+            module, "encode_word", lambda l, s, i: levels.append(i) or encode(l, s, i)
+        )
+        verdict, cert = make_certificate(loop, fc3)
+        assert isinstance(verdict, TrivialUpTo)
+        assert check_certificate(cert, loop, fc3).ok
+        assert levels == [1, 2, 3, 1, 2, 3]
+
     def test_inconclusive_has_no_certificate(self, fc2):
         verdict, cert = make_certificate(BAD_DIAGONAL, fc2)
         assert isinstance(verdict, Inconclusive)
         assert cert is None
+
+    def test_certificate_for_invalid_loop_rejected(self, fc2):
+        # The vertex (1/6, 1/6) is the center of the removed square (2,1,1).
+        loop = PolyLoop(((F(1, 6), F(1, 6)), (F(5, 6), F(1, 6)), (F(5, 6), F(5, 6)), (F(1, 6), F(5, 6))))
+        assert decide(loop, fc2).kind == "validation"
+        free = puncture_word(loop, fc2, 1)
+        cert = Certificate(
+            kind="nontrivial",
+            level=1,
+            space_sha=space_hash(fc2),
+            loop_sha=loop_hash(loop),
+            words=(encode_word(loop, fc2, 1).text,),
+            free_words=(free.text,),
+            witness=free.text,
+            diagrams=(),
+            conclusive=None,
+        )
+        rep = check_certificate(cert, loop, fc2)
+        assert not rep.ok and "validation" in rep.reason
 
     def test_wrong_space_rejected(self, fc1, fc2):
         loop = central_ring(fc1)

@@ -38,6 +38,7 @@ from carpetloop.homotopy import (
     _float_orient,
     _free_target,
     _segment_in_cells,
+    _segments_cross,
 )
 from carpetloop.serialize import loop_from_json
 
@@ -460,6 +461,17 @@ class TestGapOverlay:
         assert _float_orient(*map(float, o + a + b)) == 1
         assert _float_orient(*map(float, o + b + a)) == -1
         assert _float_orient(*map(float, o + a + (F(1, 4), F(0)))) == 0
+
+    def test_segments_cross_only_properly(self):
+        a, b, c = (F(0), F(0)), (F(2), F(0)), (F(1), F(0))
+        # An endpoint touching the other segment, from either side.
+        assert _segments_cross(a, b, c, (F(1), F(1))) is None
+        assert _segments_cross(a, b, c, (F(1), F(-1))) is None
+        assert _segments_cross(c, (F(1), F(1)), a, b) is None
+        # Shared endpoint and collinear overlap.
+        assert _segments_cross(a, b, b, (F(3), F(1))) is None
+        assert _segments_cross(a, b, c, (F(3), F(0))) is None
+        assert _segments_cross(a, b, (F(1), F(-1)), (F(1), F(1))) == (F(1, 2), F(1, 2))
 
     def test_t_junction_and_collinear_overlap(self, fc2):
         # The first mesh cuts the square along its diagonal; the second

@@ -243,7 +243,7 @@ class TestInduce:
                 continue
             w1 = encode_word(loop, fc2, 1)
             w2 = encode_word(loop, fc2, 2)
-            corr = refinement_map(loop, fc2, 1)
+            corr = refinement_map(w1, w2)
             fine_diagrams = enumerate_diagrams(TraceWord.from_cyclic(w2), cap=500)
             assert fine_diagrams
             for d in fine_diagrams[:5]:
@@ -261,7 +261,7 @@ class TestScheme:
             if loop is None:
                 continue
             words = [encode_word(loop, seq, i) for i in range(1, depth + 1)]
-            refs = [refinement_map(loop, seq, i) for i in range(1, depth)]
+            refs = [refinement_map(a, b) for a, b in zip(words, words[1:])]
             return words, refs
 
     def test_out_and_back_scheme_depth2(self, fc2):

@@ -11,7 +11,6 @@ from carpetloop import (
     DefiningSequence,
     PolyLoop,
     RefinementViolation,
-    TraceWord,
     Unroutable,
     central_ring,
     corridors,
@@ -20,7 +19,6 @@ from carpetloop import (
     encode_word,
     realize_word,
     refinement_map,
-    trace_trivial,
     validate_loop,
 )
 
@@ -104,23 +102,13 @@ class TestEncode:
         n = len(fw)
         assert any(bw[k:] + bw[:k] == fw for k in range(n))
 
-    def test_tie_break_changes_order_not_verdict(self, fc2):
-        rng = random.Random(7)
-        checked = 0
-        while checked < 8:
-            word = closed_walk_word(fc2, 2, rng)
-            loop = realized_loop(fc2, word)
-            if loop is None:
-                continue
-            h = encode_word(loop, fc2, 2, tie_break="h_first")
-            v = encode_word(loop, fc2, 2, tie_break="v_first")
-            assert sorted(l.text for l in h.letters) == sorted(
-                l.text for l in v.letters
-            )
-            assert trace_trivial(TraceWord.from_cyclic(h)) == trace_trivial(
-                TraceWord.from_cyclic(v)
-            )
-            checked += 1
+    def test_corner_tie_writes_h_first(self):
+        # The diagonal enters the H and the V strip at the same parameter.
+        seq = DefiningSequence.explicit(1, [])
+        loop = PolyLoop(((F(5, 6), F(1, 6)), (F(1, 6), F(5, 6)), (F(5, 6), F(5, 6))))
+        w = encode_word(loop, seq, 1)
+        assert w.text == "H:1:1:0/1+ V:1:1:0/1- V:1:1:0/1+ H:1:1:0/1-"
+        assert w.letters[0].interval.start == w.letters[1].interval.start
 
     def test_empty_word_away_from_strips(self, fc1):
         tri = PolyLoop(((F(1, 10), F(1, 10)), (F(1, 5), F(1, 10)), (F(1, 10), F(1, 5))))
@@ -131,7 +119,7 @@ class TestEncode:
 class TestRefinement:
     def test_central_ring_refinement(self, fc2):
         ring = central_ring(fc2)
-        corr = refinement_map(ring, fc2, 1)
+        corr = refinement_map(encode_word(ring, fc2, 1), encode_word(ring, fc2, 2))
         assert corr.coarse_word.text == encode_word(ring, fc2, 1).text
         assert corr.fine_word.text == encode_word(ring, fc2, 2).text
         assert len(corr.ends) == len(corr.coarse_word)
@@ -156,7 +144,7 @@ class TestRefinement:
             loop = realized_loop(fc3, word)
             if loop is None:
                 continue
-            corr = refinement_map(loop, fc3, 2)
+            corr = refinement_map(encode_word(loop, fc3, 2), encode_word(loop, fc3, 3))
             firsts = {f for f, _ in corr.ends}
             lasts = {l for _, l in corr.ends}
             assert len(firsts) == len(corr.ends)
@@ -171,8 +159,12 @@ class TestRefinement:
 
     def test_refinement_needs_consecutive_levels(self, fc3):
         ring = central_ring(fc3)
-        corr = refinement_map(ring, fc3, 1)
-        assert corr.fine_word.level == 2
+        w1, w2, w3 = (encode_word(ring, fc3, i) for i in (1, 2, 3))
+        assert refinement_map(w1, w2).fine_word.level == 2
+        with pytest.raises(ValueError):
+            refinement_map(w1, w3)
+        with pytest.raises(ValueError):
+            refinement_map(w2, w1)
 
 
 class TestRealize:
