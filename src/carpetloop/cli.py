@@ -89,7 +89,7 @@ def _verdict_json(v) -> dict:
             "verdict": "trivial_up_to",
             "depth": v.depth,
             "conclusive": v.conclusive,
-            "scheme": scheme_to_json(v.scheme.words, v.scheme.diagrams),
+            "scheme": scheme_to_json(v.words, v.scheme.diagrams),
         }
     return {"verdict": "inconclusive", "kind": v.kind, "reason": v.reason}
 

@@ -53,6 +53,7 @@ class Nontrivial:
 @dataclass(frozen=True)
 class TrivialUpTo:
     depth: int
+    words: tuple[CyclicWord, ...]  # the corridor word of each level, level 1 first
     scheme: CoherentScheme
     conclusive: bool
 
@@ -112,7 +113,7 @@ def level_words(
 
 
 def max_hole_level(seq: DefiningSequence) -> int:
-    return max((q.level for q in seq.removed), default=0)
+    return max((s for s in range(1, seq.depth + 1) if seq.holes_at_level(s)), default=0)
 
 
 def _decide_full(
@@ -150,7 +151,7 @@ def _decide_full(
             levels,
         )
     conclusive = max_hole_level(seq) <= N
-    return TrivialUpTo(N, scheme, conclusive), levels
+    return TrivialUpTo(N, tuple(words), scheme, conclusive), levels
 
 
 def decide(

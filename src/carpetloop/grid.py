@@ -5,6 +5,11 @@ minus the open interiors of a chosen family of grid squares; at level i
 the candidate squares have side 1/3^i and odd/even corner coordinates in
 scale-i units, so the complement decomposes into cells, strips, and the
 corridor pieces the word calculus is built on.
+
+The level-s candidate (k, m) is the scale-s cell (2k-1, 2m-1).  Each
+space indexes its removed squares once, by key and by line; whether a
+cell or point is kept, which square covers it and which squares cut a
+strip are read from that index along the cell's ancestors, one per scale.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import LevelOutOfRange
 
@@ -57,43 +62,80 @@ class GridSquare:
         n = _pow3(self.level)
         return (Fraction(4 * self.k - 1, 2 * n), Fraction(4 * self.m - 1, 2 * n))
 
-    def interior_contains(self, p: Point) -> bool:
-        (x0, x1), (y0, y1) = self.x_interval, self.y_interval
-        return x0 < p[0] < x1 and y0 < p[1] < y1
-
     def key(self) -> tuple[int, int, int]:
         return (self.level, self.k, self.m)
 
 
-def _contained_1d(j: int, t: int) -> bool:
-    # Is [2j-1, 2j] (scale i) inside some [(2j'-1)t, 2j't] (scale s, t = 3^(i-s))?
-    jp = -(-2 * j // (2 * t))  # ceil(j/t)
-    return (2 * jp - 1) * t <= 2 * j - 1 and 2 * j <= 2 * jp * t
+def _shallowest_candidate(a: int, b: int, i: int) -> Optional[tuple[int, int, int]]:
+    """Key of the shallowest candidate of level <= i holding scale-i cell (a, b).
+
+    The level-s candidate (k, m) is the scale-s cell (2k-1, 2m-1), so it
+    holds the cell iff the cell's scale-s ancestor has two odd digits.
+    Every deeper candidate holding the cell lies inside this one, so it
+    is not eligible and no space removes it.
+    """
+    t = _pow3(i)
+    for s in range(1, i + 1):
+        t //= 3
+        x, y = a // t, b // t
+        if x & y & 1:
+            return (s, (x + 1) // 2, (y + 1) // 2)
+    return None
 
 
 @lru_cache(maxsize=None)
 def _eligible_at(i: int) -> frozenset[GridSquare]:
     """Candidates at level i not contained in any earlier candidate.
 
-    Containment against earlier levels is a property of the grid alone,
-    so eligibility does not depend on which squares were removed.
+    A candidate is buried iff a proper ancestor has two odd digits, so
+    eligibility is a property of the grid alone, not of the space.
     """
-    out = []
     half = (_pow3(i) - 1) // 2
-    for k in range(1, half + 1):
-        for m in range(1, half + 1):
-            buried = any(
-                _contained_1d(k, _pow3(i - s)) and _contained_1d(m, _pow3(i - s))
-                for s in range(1, i)
-            )
-            if not buried:
-                out.append(GridSquare(i, k, m))
-    return frozenset(out)
+    return frozenset(
+        GridSquare(i, k, m)
+        for k in range(1, half + 1)
+        for m in range(1, half + 1)
+        if _shallowest_candidate(2 * k - 1, 2 * m - 1, i)[0] == i
+    )
+
+
+@dataclass(frozen=True)
+class _HoleIndex:
+    """One space's removed squares by key, by level and by line.
+
+    lines[(orientation, level, stratum)] holds the ascending extent index
+    of each square on that line: k on an "H" line, m on a "V" line.
+    """
+
+    squares: dict[tuple[int, int, int], GridSquare]
+    by_level: tuple[tuple[GridSquare, ...], ...]  # level s at s-1, in key order
+    lines: dict[tuple[str, int, int], list[int]]
+
+
+@lru_cache(maxsize=None)
+def _hole_index(seq: DefiningSequence) -> _HoleIndex:
+    squares = sorted(seq.removed, key=GridSquare.key)
+    lines: dict[tuple[str, int, int], list[int]] = {}
+    for sq in squares:
+        lines.setdefault(("H", sq.level, sq.m), []).append(sq.k)
+        lines.setdefault(("V", sq.level, sq.k), []).append(sq.m)
+    return _HoleIndex(
+        {sq.key(): sq for sq in squares},
+        tuple(
+            tuple(sq for sq in squares if sq.level == s)
+            for s in range(1, seq.depth + 1)
+        ),
+        lines,
+    )
 
 
 @dataclass(frozen=True)
 class DefiningSequence:
-    """A depth-limited choice of removed squares, one batch per level."""
+    """A depth-limited choice of removed squares, one batch per level.
+
+    Lookups read `_hole_index` alike for every pattern; the pattern only
+    names the space's JSON form.
+    """
 
     depth: int
     pattern: str
@@ -122,66 +164,46 @@ class DefiningSequence:
         )
         return DefiningSequence(depth, FULL_CARPET, squares)
 
-    @property
-    def is_full_carpet(self) -> bool:
-        return self.pattern == FULL_CARPET
-
-    def holes_at_level(self, i: int) -> frozenset[GridSquare]:
-        return frozenset(sq for sq in self.removed if sq.level == i)
+    def holes_at_level(self, i: int) -> tuple[GridSquare, ...]:
+        """The removed squares of level i, in key order."""
+        return _hole_index(self).by_level[i - 1] if 1 <= i <= self.depth else ()
 
     def holes_up_to(self, i: int) -> tuple[GridSquare, ...]:
-        return tuple(
-            sorted(
-                (sq for sq in self.removed if sq.level <= i),
-                key=GridSquare.key,
-            )
-        )
+        """The removed squares of level <= i, in key order."""
+        return tuple(sq for sqs in _hole_index(self).by_level[:i] for sq in sqs)
+
+    def has_hole(self, s: int, k: int, m: int) -> bool:
+        """Is the level-s candidate (k, m) removed?"""
+        return (s, k, m) in _hole_index(self).squares
 
     def check_level(self, i: int) -> None:
         if not (1 <= i <= self.depth):
             raise LevelOutOfRange(f"level {i} outside 1..{self.depth}")
 
     def point_in_removed_interior(self, p: Point, i: int) -> bool:
-        """Is p strictly inside some removed square of level <= i?"""
-        if self.is_full_carpet:
-            # Inside a full-carpet hole of level s iff both scaled
-            # coordinates have odd integer part and are non-integral.
-            # Eligibility does not matter: a candidate buried inside an
-            # earlier hole covers only points already counted at that level.
-            for s in range(1, i + 1):
-                n = _pow3(s)
-                ux, uy = p[0] * n, p[1] * n
-                fx, fy = ux.numerator // ux.denominator, uy.numerator // uy.denominator
-                if fx % 2 == 1 and fy % 2 == 1 and ux != fx and uy != fy:
-                    return True
-            return False
-        return any(
-            sq.level <= i and sq.interior_contains(p) for sq in self.removed
-        )
+        """Is p strictly inside some removed square of level <= i?
+
+        p is strictly inside the level-s candidate (k, m) iff both scaled
+        coordinates are non-integral with integer parts 2k-1 and 2m-1.
+        As for cells, only the shallowest such candidate can be removed.
+        """
+        (xn, xd), (yn, yd) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+        for s in range(1, i + 1):
+            n = _pow3(s)
+            fx, rx = divmod(xn * n, xd)
+            fy, ry = divmod(yn * n, yd)
+            if rx and ry and fx & fy & 1:
+                return self.has_hole(s, (fx + 1) // 2, (fy + 1) // 2)
+        return False
+
+    def covering_hole(self, a: int, b: int, i: int) -> Optional[GridSquare]:
+        """The removed square of level <= i covering scale-i cell (a, b), if any."""
+        return _hole_index(self).squares.get(_shallowest_candidate(a, b, i))
 
     def cell_in_space(self, a: int, b: int, i: int) -> bool:
-        """Is the scale-i cell [a/3^i,(a+1)/3^i] x [b/3^i,(b+1)/3^i] kept?
-
-        A cell is lost exactly when some removed square of level s <= i
-        covers it, which happens iff both of its scale-s digits are odd.
-        """
+        """Is the scale-i cell [a/3^i,(a+1)/3^i] x [b/3^i,(b+1)/3^i] kept?"""
         n = _pow3(i)
-        if not (0 <= a < n and 0 <= b < n):
-            return False
-        if self.is_full_carpet:
-            for s in range(i):
-                t = _pow3(s)
-                if (a // t) % 2 == 1 and (b // t) % 2 == 1:
-                    return False
-            return True
-        for sq in self.removed:
-            if sq.level > i:
-                continue
-            t = _pow3(i - sq.level)
-            if (2 * sq.k - 1) * t <= a and a + 1 <= 2 * sq.k * t:
-                if (2 * sq.m - 1) * t <= b and b + 1 <= 2 * sq.m * t:
-                    return False
-        return True
+        return 0 <= a < n and 0 <= b < n and self.covering_hole(a, b, i) is None
 
 
 def eligible_squares(seq: DefiningSequence, i: int) -> frozenset[GridSquare]:
@@ -249,40 +271,32 @@ class Corridor:
 @lru_cache(maxsize=None)
 def _corridors_cached(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
     n = _pow3(i)
+    lines = _hole_index(seq).lines
     out: list[Corridor] = []
     for orientation in ("H", "V"):
         for m in range(1, (n - 1) // 2 + 1):
             # Blocks: removed squares whose transverse side covers the
-            # whole strip.  Any removed square either covers the strip or
-            # misses its interior, so these are the only cuts.
+            # whole strip, i.e. the squares on the line of each odd
+            # scale-s ancestor r of the strip's row.  Any other removed
+            # square misses the strip's interior, so these are the only cuts.
             blocks: list[tuple[int, int]] = []
-            for sq in seq.removed:
-                if sq.level > i:
-                    continue
-                t = _pow3(i - sq.level)
-                tr = sq.m if orientation == "H" else sq.k
-                ex = sq.k if orientation == "H" else sq.m
-                if (2 * tr - 1) * t <= 2 * m - 1 and 2 * m <= 2 * tr * t:
-                    blocks.append(((2 * ex - 1) * t, 2 * ex * t))
+            for s in range(1, i + 1):
+                t = _pow3(i - s)
+                r = (2 * m - 1) // t
+                if r & 1:
+                    for e in lines.get((orientation, s, (r + 1) // 2), ()):
+                        blocks.append(((2 * e - 1) * t, 2 * e * t))
             blocks.sort()
+            # The corridors are the gaps between blocks, up to the sentinel
+            # at n.  They come out in (orientation, stratum, extent) order,
+            # which is the sorted order of Corridor.
             lo = 0
-            pieces: list[tuple[int, int]] = []
-            for b0, b1 in blocks:
+            for b0, b1 in blocks + [(n, n)]:
                 if b0 > lo:
-                    pieces.append((lo, b0))
+                    extent = (Fraction(lo, n), Fraction(b0, n))
+                    out.append(Corridor(orientation, i, m, extent))
                 lo = max(lo, b1)
-            if lo < n:
-                pieces.append((lo, n))
-            for e0, e1 in pieces:
-                out.append(
-                    Corridor(
-                        orientation,
-                        i,
-                        m,
-                        (Fraction(e0, n), Fraction(e1, n)),
-                    )
-                )
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
@@ -438,23 +452,14 @@ def validate_loop(loop: PolyLoop, seq: DefiningSequence, depth: int) -> Validati
                     (Violation("VertexOnGridLine", index=j, level=max(s, 1), line=line),),
                 )
     n = _pow3(depth)
-    holes = seq.holes_up_to(depth)
     for j in range(len(vs)):
         p, q = vs[j], vs[(j + 1) % len(vs)]
         for a, b in _segment_cells(p, q, n):
-            if not seq.cell_in_space(a, b, depth):
-                sq = _covering_hole(holes, a, b, depth)
+            sq = seq.covering_hole(a, b, depth)
+            if sq is not None:
                 return ValidationReport(
                     False,
                     (Violation("EdgeInHole", index=j, square=sq),),
                 )
     return ValidationReport(True)
 
-
-def _covering_hole(holes: Sequence[GridSquare], a: int, b: int, i: int) -> GridSquare:
-    for sq in holes:
-        t = _pow3(i - sq.level)
-        if (2 * sq.k - 1) * t <= a and a + 1 <= 2 * sq.k * t:
-            if (2 * sq.m - 1) * t <= b and b + 1 <= 2 * sq.m * t:
-                return sq
-    raise AssertionError(f"cell ({a},{b}) lost at level {i} but no hole covers it")

@@ -798,22 +798,14 @@ def _triangle_meets_open_rect(tri: Sequence[Point], rect: Rect) -> Optional[Poin
     return None
 
 
-def _holes_by_level(seq: DefiningSequence, i: int) -> dict[int, set[tuple[int, int]]]:
-    return {
-        s: {(q.k, q.m) for q in seq.holes_at_level(s)} for s in range(1, i + 1)
-    }
-
-
 def _triangle_hole_hit(
-    tri: Sequence[Point], holes: dict[int, set[tuple[int, int]]]
+    tri: Sequence[Point], seq: DefiningSequence, i: int
 ) -> Optional[Point]:
     x0 = min(p[0] for p in tri)
     x1 = max(p[0] for p in tri)
     y0 = min(p[1] for p in tri)
     y1 = max(p[1] for p in tri)
-    for s, removed in holes.items():
-        if not removed:
-            continue
+    for s in range(1, i + 1):
         n = _pow3(s)
         k_lo = max(1, -((-(x0 * n).numerator) // ((x0 * n).denominator * 2)))
         k_hi = min((n - 1) // 2, ((x1 * n + 1) / 2).__floor__())
@@ -821,7 +813,7 @@ def _triangle_hole_hit(
         m_hi = min((n - 1) // 2, ((y1 * n + 1) / 2).__floor__())
         for k in range(k_lo, k_hi + 1):
             for m in range(m_lo, m_hi + 1):
-                if (k, m) not in removed:
+                if not seq.has_hole(s, k, m):
                     continue
                 rect = (
                     Fraction(2 * k - 1, n),
@@ -835,29 +827,23 @@ def _triangle_hole_hit(
     return None
 
 
-def verify_containment(
-    h: LevelHomotopy,
-    seq: Optional[DefiningSequence] = None,
-    i: Optional[int] = None,
-) -> ContainmentReport:
+def verify_containment(h: LevelHomotopy) -> ContainmentReport:
     """Check the filled disk's image avoids every removed square.
 
     Every face is affine, so the image of each of its triangles is a
-    triangle, tested exactly against each candidate open square.
+    triangle, tested exactly against each candidate open square.  The
+    space and level are the filling's own.
     """
-    seq = seq if seq is not None else h.seq
-    i = i if i is not None else h.level
-    holes = _holes_by_level(seq, i)
     violations: list[tuple[int, Point]] = []
     for fill in h.fills:
         for _, val in fill.triangles:
-            hit = _triangle_hole_hit(val, holes)
+            hit = _triangle_hole_hit(val, h.seq, h.level)
             if hit is not None:
                 violations.append((fill.face, hit))
                 break
     return ContainmentReport(
         ok=not violations,
-        level=i,
+        level=h.level,
         exact_faces=len(h.fills),
         violations=tuple(violations),
     )

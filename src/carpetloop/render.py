@@ -35,7 +35,7 @@ def render_space(
         # flip so the y axis points up
         '<g transform="translate(0,1) scale(1,-1)">',
     ]
-    for q in sorted(seq.removed, key=lambda q: q.key()):
+    for q in seq.holes_up_to(seq.depth):
         (x0, x1), (y0, y1) = q.x_interval, q.y_interval
         fill = _LEVEL_FILLS[(q.level - 1) % len(_LEVEL_FILLS)]
         parts.append(

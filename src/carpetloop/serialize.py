@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Iterable, Optional
 
 from .errors import CarpetLoopError
@@ -58,7 +59,7 @@ def space_to_json(seq: DefiningSequence) -> dict:
     return {
         "depth": seq.depth,
         "pattern": seq.pattern,
-        "removed": [[q.level, q.k, q.m] for q in sorted(seq.removed, key=lambda q: q.key())],
+        "removed": [[q.level, q.k, q.m] for q in seq.holes_up_to(seq.depth)],
     }
 
 
@@ -85,6 +86,7 @@ def space_from_json(data: dict) -> DefiningSequence:
         raise FormatError(str(e)) from e
 
 
+@lru_cache(maxsize=None)
 def space_hash(seq: DefiningSequence) -> str:
     return sha256_hex(canonical_json(space_to_json(seq)))
 

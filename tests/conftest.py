@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 
 from carpetloop import (
+    Corridor,
     CrossingInterval,
     CyclicWord,
     DefiningSequence,
@@ -457,3 +458,108 @@ def random_explicit_space(depth, rng: random.Random, keep=0.5) -> DefiningSequen
         if rng.random() < keep
     ]
     return DefiningSequence.explicit(depth, removed)
+
+
+# ---------------------------------------------------------------------------
+# Hole-lookup oracles: the per-call scans of the removed squares and the
+# full-carpet digit tests that the hole index replaced
+
+
+def _square_covers_cell(sq, a, b, i) -> bool:
+    t = 3 ** (i - sq.level)
+    return (2 * sq.k - 1) * t <= a and a + 1 <= 2 * sq.k * t and (
+        (2 * sq.m - 1) * t <= b and b + 1 <= 2 * sq.m * t
+    )
+
+
+def scan_cell_in_space(holes, a, b, i) -> bool:
+    """Kept iff no square of `holes` of level <= i covers the scale-i cell."""
+    n = 3**i
+    if not (0 <= a < n and 0 <= b < n):
+        return False
+    return not any(sq.level <= i and _square_covers_cell(sq, a, b, i) for sq in holes)
+
+
+def digit_cell_in_space(a, b, i) -> bool:
+    """Full carpet: lost iff both digits are odd at some scale."""
+    n = 3**i
+    if not (0 <= a < n and 0 <= b < n):
+        return False
+    return not any((a // 3**s) % 2 == 1 and (b // 3**s) % 2 == 1 for s in range(i))
+
+
+def scan_point_in_removed_interior(holes, p, i) -> bool:
+    def inside(sq):
+        n = 3**sq.level
+        x0, x1 = Fraction(2 * sq.k - 1, n), Fraction(2 * sq.k, n)
+        y0, y1 = Fraction(2 * sq.m - 1, n), Fraction(2 * sq.m, n)
+        return x0 < p[0] < x1 and y0 < p[1] < y1
+
+    return any(sq.level <= i and inside(sq) for sq in holes)
+
+
+def digit_point_in_removed_interior(p, i) -> bool:
+    """Full carpet: both scaled coordinates non-integral with odd floor."""
+    for s in range(1, i + 1):
+        ux, uy = p[0] * 3**s, p[1] * 3**s
+        fx, fy = ux.numerator // ux.denominator, uy.numerator // uy.denominator
+        if fx % 2 == 1 and fy % 2 == 1 and ux != fx and uy != fy:
+            return True
+    return False
+
+
+def scan_covering_hole(holes, a, b, i):
+    """First square of `holes` (in key order) of level <= i covering the cell."""
+    for sq in holes:
+        if sq.level <= i and _square_covers_cell(sq, a, b, i):
+            return sq
+    return None
+
+
+def scan_corridors(seq, i):
+    """Strip pieces between blocks found by scanning every removed square."""
+    n = 3**i
+    out = []
+    for orientation in ("H", "V"):
+        for m in range(1, (n - 1) // 2 + 1):
+            blocks = []
+            for sq in seq.removed:
+                if sq.level > i:
+                    continue
+                t = 3 ** (i - sq.level)
+                tr = sq.m if orientation == "H" else sq.k
+                ex = sq.k if orientation == "H" else sq.m
+                if (2 * tr - 1) * t <= 2 * m - 1 and 2 * m <= 2 * tr * t:
+                    blocks.append(((2 * ex - 1) * t, 2 * ex * t))
+            blocks.sort()
+            lo = 0
+            pieces = []
+            for b0, b1 in blocks:
+                if b0 > lo:
+                    pieces.append((lo, b0))
+                lo = max(lo, b1)
+            if lo < n:
+                pieces.append((lo, n))
+            for e0, e1 in pieces:
+                out.append(Corridor(orientation, i, m, (Fraction(e0, n), Fraction(e1, n))))
+    return tuple(sorted(out))
+
+
+def contained_1d_eligible(i) -> set[tuple[int, int]]:
+    """Level-i candidates (k, m) inside no earlier candidate, axis by axis."""
+
+    def contained_1d(j, t):
+        # Is [2j-1, 2j] (scale i) inside some [(2j'-1)t, 2j't] (t = 3^(i-s))?
+        jp = -(-2 * j // (2 * t))
+        return (2 * jp - 1) * t <= 2 * j - 1 and 2 * j <= 2 * jp * t
+
+    half = (3**i - 1) // 2
+    return {
+        (k, m)
+        for k in range(1, half + 1)
+        for m in range(1, half + 1)
+        if not any(
+            contained_1d(k, 3 ** (i - s)) and contained_1d(m, 3 ** (i - s))
+            for s in range(1, i)
+        )
+    }

@@ -168,6 +168,20 @@ class TestCertifyCheck:
         code, rep = run(capsys, ["check", *io, "--cert", cert])
         assert code == 0 and rep == {"ok": True, "reason": ""}
 
+    def test_scheme_words_are_certificate_words(self, capsys, fc2, tmp_path):
+        loop = trivial_walk_loop(fc2, 2)
+        io = [
+            "--space", write_json(tmp_path / "s.json", space_to_json(fc2)),
+            "--loop", write_json(tmp_path / "l.json", loop_to_json(loop)),
+        ]
+        code, certified = run(capsys, ["certify", *io])
+        assert code == 0 and certified["verdict"] == "trivial_up_to"
+        words = certified["certificate"]["words"]
+        assert len(words) == 2 and words[-1]
+        assert certified["scheme"]["words"] == words
+        code, decided = run(capsys, ["decide", *io])
+        assert code == 0 and decided["scheme"]["words"] == words
+
     def test_trivial_certificate_checks(self, capsys, files, tmp_path):
         code, out = run(
             capsys, ["certify", "--space", files["space"], "--loop", files["triangle"]]

@@ -78,13 +78,12 @@ class TestContainment:
     )
     @settings(**HSETTINGS)
     def test_digit_test_matches_square_scan(self, x, y):
-        # the full-pattern fast path must agree with literal square tests
+        # the index lookup must agree with literal square tests
+        from conftest import scan_point_in_removed_interior
+
         seq = DefiningSequence.full_carpet(3)
         for i in (1, 2, 3):
-            literal = any(
-                q.interior_contains((x, y))
-                for q in seq.holes_up_to(i)
-            )
+            literal = scan_point_in_removed_interior(seq.removed, (x, y), i)
             assert seq.point_in_removed_interior((x, y), i) == literal
 
     @given(st.integers(0, 26), st.integers(0, 26))

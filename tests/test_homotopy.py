@@ -88,14 +88,12 @@ def scheme_homotopies(loop, seq):
     """Fillings at every level from the decided scheme, over shared marks."""
     v = decide(loop, seq)
     assert isinstance(v, TrivialUpTo) and v.conclusive, v
-    levels = range(1, seq.depth + 1)
-    words = [encode_word(loop, seq, i) for i in levels]
     marks = sorted(
-        {t for w in words for l in w.letters for t in (l.interval.start, l.interval.end % 1)}
+        {t for w in v.words for l in w.letters for t in (l.interval.start, l.interval.end % 1)}
     )
     return [
         build_homotopy(loop, seq, i, d, word=w, extra_params=marks)
-        for i, w, d in zip(levels, words, v.scheme.diagrams)
+        for i, (w, d) in enumerate(zip(v.words, v.scheme.diagrams), start=1)
     ]
 
 
