@@ -24,7 +24,7 @@ from .decide import (
     level_words,
     make_certificate,
 )
-from .errors import CapExceeded, CarpetLoopError
+from .errors import CarpetLoopError
 from .grid import DefiningSequence, PolyLoop, validate_loop
 from .render import render_space
 from .serialize import (
@@ -33,7 +33,7 @@ from .serialize import (
     scheme_to_json,
     space_from_json,
 )
-from .traces import SearchCaps, TraceWord, enumerate_diagrams, trace_trivial
+from .traces import SearchCaps, TraceWord, enumerate_diagrams, first_diagram, trace_trivial
 from .words import encode_word
 
 log = logging.getLogger(__name__)
@@ -179,18 +179,9 @@ def _render_cellulation(seq, loop, level, size) -> str:
     if not report.ok:
         raise FormatError(report.first.describe())
     word = encode_word(loop, seq, n)
-    if word.letters:
-        try:
-            diagrams = enumerate_diagrams(TraceWord.from_cyclic(word), cap=10_000)
-        except CapExceeded as e:
-            diagrams = e.partial or []
-        if not diagrams:
-            raise CarpetLoopError(f"level-{n} word admits no cancellation diagram")
-        diagram = diagrams[0]
-    else:
-        from .traces import CancellationDiagram
-
-        diagram = CancellationDiagram(frozenset())
+    diagram = first_diagram(TraceWord.from_cyclic(word))
+    if diagram is None:
+        raise CarpetLoopError(f"level-{n} word admits no cancellation diagram")
     h = build_homotopy(loop, seq, n, diagram, word=word)
     return render_disk(h, size=size)
 
@@ -211,7 +202,8 @@ def cmd_oracle(args) -> int:
     word = TraceWord.from_strings(tokens, commuting)
     out = {"trivial": trace_trivial(word)}
     if args.diagrams:
-        ds = enumerate_diagrams(word, cap=args.cap_per_level or 100_000)
+        cap = args.cap_per_level if args.cap_per_level is not None else 100_000
+        ds = enumerate_diagrams(word, cap=cap)
         out["diagrams"] = [list(map(list, d.sorted_pairs)) for d in ds]
         out["diagram_count"] = len(ds)
     _emit(out)
@@ -257,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--loop", required=loop_required, help="loop JSON file or -"
         )
 
-    def add_search(sp):
+    def add_level(sp):
         sp.add_argument(
             "--level", "--depth", type=int, default=None, dest="level"
         )
+
+    def add_search(sp):
+        add_level(sp)
         sp.add_argument(
             "--caps", type=int, default=None, help="shorthand for both caps"
         )
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("encode", help="corridor and puncture words per level")
     add_io(sp)
-    add_search(sp)
+    add_level(sp)
     sp.set_defaults(fn=cmd_encode)
 
     sp = sub.add_parser("decide", help="three-valued contractibility verdict")

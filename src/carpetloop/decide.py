@@ -24,7 +24,6 @@ from .errors import (
     CapExceeded,
     DegeneratePosition,
     MalformedDiagram,
-    NoInducedDiagram,
     NotFoundError,
     RefinementViolation,
 )
@@ -38,7 +37,7 @@ from .traces import (
     TraceWord,
     coherent_scheme,
     diagram_valid,
-    induce_diagram,
+    induces,
     trace_trivial,
 )
 from .words import CyclicWord, encode_word, refinement_map
@@ -307,14 +306,10 @@ def check_certificate(
             return CheckReport(False, f"level-{i} diagram invalid")
     for i in range(1, cert.level):
         try:
-            induced = induce_diagram(diagrams[i], refinement_map(words[i - 1], words[i]))
+            corr = refinement_map(words[i - 1], words[i])
         except RefinementViolation as e:
             return CheckReport(False, f"levels {i} and {i + 1} do not refine: {e}")
-        except NoInducedDiagram as e:
-            return CheckReport(False, f"level-{i + 1} diagram induces nothing: {e}")
-        except CapExceeded as e:
-            return CheckReport(False, f"level-{i + 1} diagram induces too many: {e}")
-        if diagrams[i - 1] not in induced:
+        if not induces(diagrams[i], corr, diagrams[i - 1]):
             return CheckReport(
                 False, f"level-{i + 1} diagram does not induce the level-{i} one"
             )

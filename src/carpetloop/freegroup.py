@@ -10,6 +10,7 @@ around it would pick up spurious commutators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,8 +112,8 @@ def _scaled_ints(loop: PolyLoop, seq: DefiningSequence, i: int):
     den = 1
     for v in loop.vertices:
         for c in v:
-            den = den * c.denominator // _gcd(den, c.denominator)
-    den = den * (2 * 3 ** i) // _gcd(den, 2 * 3 ** i)
+            den = math.lcm(den, c.denominator)
+    den = math.lcm(den, 2 * 3 ** i)
     verts = [
         (v[0].numerator * (den // v[0].denominator), v[1].numerator * (den // v[1].denominator))
         for v in loop.vertices
@@ -124,12 +125,6 @@ def _scaled_ints(loop: PolyLoop, seq: DefiningSequence, i: int):
             (cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator))
         )
     return verts, cents
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _ray_crossings(

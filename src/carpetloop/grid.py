@@ -14,6 +14,7 @@ strip are read from that index along the cell's ancestors, one per scale.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -151,7 +152,7 @@ class DefiningSequence:
         for sq in squares:
             if sq.level > depth:
                 raise ValueError(f"{sq} exceeds depth {depth}")
-            if sq not in _eligible_at(sq.level):
+            if _shallowest_candidate(2 * sq.k - 1, 2 * sq.m - 1, sq.level)[0] != sq.level:
                 raise ValueError(f"{sq} is not eligible at its level")
         return DefiningSequence(depth, EXPLICIT, squares)
 
@@ -304,12 +305,26 @@ def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
     return _corridors_cached(seq, i)
 
 
+def _corridor_at(
+    cs: tuple[Corridor, ...], orientation: str, stratum: int, x: Fraction
+) -> Optional[Corridor]:
+    """The corridor of one strip whose extent holds x, from a sorted corridors tuple."""
+    j = bisect_right(
+        cs, (orientation, stratum, x), key=lambda c: (c.orientation, c.stratum, c.extent[0])
+    )
+    if j:
+        c = cs[j - 1]
+        if c.orientation == orientation and c.stratum == stratum and x <= c.extent[1]:
+            return c
+    return None
+
+
 def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction]) -> Corridor:
     orientation, level, stratum, e0 = ident
-    for c in corridors(seq, level):
-        if c.orientation == orientation and c.stratum == stratum and c.extent[0] == e0:
-            return c
-    raise KeyError(f"no corridor with id {ident}")
+    c = _corridor_at(corridors(seq, level), orientation, stratum, e0)
+    if c is None or c.extent[0] != e0:
+        raise KeyError(f"no corridor with id {ident}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -400,23 +415,25 @@ def _line_level(value: Fraction, depth: int) -> Optional[int]:
     return s if s <= depth else None
 
 
-def _segment_cells(p: Point, q: Point, n: int) -> Iterator[tuple[int, int]]:
-    """Scale-n open cells whose interior the open segment (p, q) meets.
+def _lines_between(a: Fraction, b: Fraction, n: int) -> range:
+    """The scale-n lines j with j/n strictly between a and b, in order from a to b."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    j0 = lo.numerator * n // lo.denominator + 1
+    j1 = -(-hi.numerator * n // hi.denominator) - 1
+    return range(j0, j1 + 1) if a <= b else range(j1, j0 - 1, -1)
 
-    Assumes neither endpoint lies on a scale-n grid line.  Splits the
-    parameter range at every line crossing and samples each piece.
+
+def _segment_cells(p: Point, q: Point, n: int) -> Iterator[tuple[int, int]]:
+    """Scale-n cells of the pieces of segment pq, in order along it.
+
+    Cuts the segment where it crosses a scale-n line; each piece lies in
+    the cell of its midpoint (for a piece on a line, the cell above or
+    to the right of it).
     """
     cuts = {Fraction(0), Fraction(1)}
     for axis in (0, 1):
         a, b = p[axis], q[axis]
-        if a == b:
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        j0 = lo.numerator * n // lo.denominator + 1
-        j1 = hi.numerator * n // hi.denominator
-        if hi * n == j1:
-            j1 -= 1
-        for j in range(j0, j1 + 1):
+        for j in _lines_between(a, b, n):
             cuts.add((Fraction(j, n) - a) / (b - a))
     ts = sorted(cuts)
     for t0, t1 in zip(ts, ts[1:]):

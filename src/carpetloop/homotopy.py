@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
-from .grid import Corridor, DefiningSequence, PolyLoop, Point, _pow3
+from .grid import Corridor, DefiningSequence, PolyLoop, Point, _pow3, _segment_cells
 from .traces import CancellationDiagram, TraceWord, diagram_valid
 from .words import CyclicWord, encode_word, _mod1
 
@@ -405,36 +405,6 @@ def _in_rect(p: Point, r: Rect) -> bool:
     return r[0] <= p[0] <= r[1] and r[2] <= p[1] <= r[3]
 
 
-def _segment_in_cells(
-    p: Point, q: Point, cells: set[tuple[int, int]], n: int
-) -> bool:
-    """Exact test that segment pq stays inside the closed cell union.
-
-    Cuts the segment at every grid line it crosses; each open piece lies
-    in a single cell iff its midpoint's cell is in the set.
-    """
-    cuts = {Fraction(0), Fraction(1)}
-    for axis in range(2):
-        a, b = p[axis], q[axis]
-        if a == b:
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        j = lo.numerator * n // lo.denominator + 1
-        while Fraction(j, n) < hi:
-            cuts.add((Fraction(j, n) - a) / (b - a))
-            j += 1
-    ts = sorted(cuts)
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        x = p[0] + tm * (q[0] - p[0])
-        y = p[1] + tm * (q[1] - p[1])
-        ca = min(x.numerator * n // x.denominator, n - 1)
-        cb = min(y.numerator * n // y.denominator, n - 1)
-        if (ca, cb) not in cells:
-            return False
-    return True
-
-
 def _free_target(
     seq: DefiningSequence,
     i: int,
@@ -496,7 +466,7 @@ def _free_target(
                     and (ha, hb + db) in region
                 ):
                     region.add((ha + da, hb + db))
-        if all(_segment_in_cells(p, q, region, n) for p, q in edges):
+        if all(cell in region for p, q in edges for cell in _segment_cells(p, q, n)):
             center = (Fraction(2 * ha + 1, 2 * n), Fraction(2 * hb + 1, 2 * n))
             return Target("plus", cells=tuple(sorted(region)), center=center)
     raise AssignmentFailure(

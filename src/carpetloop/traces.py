@@ -285,6 +285,11 @@ def enumerate_diagrams(
     return tuple(out)
 
 
+def first_diagram(word: TraceWord) -> Optional[CancellationDiagram]:
+    """The first valid diagram in enumeration order, or None if there is none."""
+    return next(_iter_matchings(word, (), None), None)
+
+
 def _forced_pairs(
     d_fine: CancellationDiagram, corr: RefinementCorrespondence
 ) -> frozenset[tuple[int, int]]:
@@ -356,6 +361,22 @@ def induce_diagram(
     return out
 
 
+def induces(
+    d_fine: CancellationDiagram,
+    corr: RefinementCorrespondence,
+    d_coarse: CancellationDiagram,
+) -> bool:
+    """Is the valid coarse diagram d_coarse among induce_diagram(d_fine, corr)?
+
+    Every prune of the search is sound, so the valid coarse diagrams it
+    yields are exactly those containing the forced pairs.
+    """
+    try:
+        return _forced_pairs(d_fine, corr) <= d_coarse.pairs
+    except NoInducedDiagram:
+        return False
+
+
 @dataclass(frozen=True)
 class SearchCaps:
     per_level: int = 100_000
@@ -378,11 +399,10 @@ class CoherentScheme:
                     return False
             except MalformedDiagram:
                 return False
-        for idx, corr in enumerate(refinements):
-            cands = _induce_candidates(self.diagrams[idx + 1], corr)
-            if self.diagrams[idx] not in cands:
-                return False
-        return True
+        return all(
+            induces(self.diagrams[idx + 1], corr, self.diagrams[idx])
+            for idx, corr in enumerate(refinements)
+        )
 
 
 def coherent_scheme(

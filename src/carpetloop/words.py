@@ -20,6 +20,8 @@ from .grid import (
     PolyLoop,
     Point,
     corridors,
+    _corridor_at,
+    _lines_between,
     _pow3,
 )
 
@@ -122,64 +124,49 @@ class CyclicWord:
         return " ".join(l.text for l in self.letters)
 
 
-def _strip_events(
-    loop: PolyLoop, lo: Fraction, hi: Fraction, axis: int
-) -> list[tuple[Fraction, int, int]]:
-    """Transversal crossings of the two lines bounding one strip.
-
-    Returns (param, which line: 0 = lo / 1 = hi, direction: +1 if the
-    coordinate increases through the line).  Raises DegeneratePosition
-    if an edge lies on either line.
-    """
-    events = []
-    for p, q, t0, t1 in loop.edges():
-        a, b = p[axis], q[axis]
-        for which, v in ((0, lo), (1, hi)):
-            if a == v and b == v:
-                raise DegeneratePosition(
-                    f"edge at t={t0} lies on the line {'xy'[axis]}={v}"
-                )
-            if a < v < b or b < v < a:
-                t = t0 + (t1 - t0) * (v - a) / (b - a)
-                events.append((t, which, 1 if b > a else -1))
-    events.sort()
-    return events
-
-
 def crossing_intervals(
     loop: PolyLoop, seq: DefiningSequence, i: int
 ) -> tuple[tuple[CrossingInterval, ...], tuple[CrossingInterval, ...]]:
     """Full-crossing intervals of every level-i strip, per orientation.
 
     The loop must already be valid through level i; vertices off grid
-    lines make every line crossing transversal and isolated.
+    lines make every line crossing transversal and isolated.  Raises
+    DegeneratePosition if an edge lies on a strip line.
     """
     seq.check_level(i)
     n = _pow3(i)
-    by_orientation: dict[str, list[CrossingInterval]] = {"H": [], "V": []}
     corr = corridors(seq, i)
+    by_orientation: dict[str, list[CrossingInterval]] = {"H": [], "V": []}
     for orientation, axis in (("H", 1), ("V", 0)):
-        along = 1 - axis
-        for m in range(1, (n - 1) // 2 + 1):
-            lo, hi = Fraction(2 * m - 1, n), Fraction(2 * m, n)
-            events = _strip_events(loop, lo, hi, axis)
-            if not events:
+        # Per stratum, the crossings of its two lines as (param, which
+        # line: 0 = lower / 1 = upper, direction: +1 if the coordinate
+        # increases through the line).  Line j is the lower line of
+        # stratum (j+1)//2 when j is odd and its upper line when j is
+        # even.  Edges are walked in order and each edge's lines come in
+        # order along it, so every list is sorted by param.
+        events: dict[int, list[tuple[Fraction, int, int]]] = {}
+        for p, q, u0, u1 in loop.edges():
+            a, b = p[axis], q[axis]
+            if a == b:
+                j = a * n
+                if j.denominator == 1 and 0 < j < n:
+                    raise DegeneratePosition(
+                        f"edge at t={u0} lies on the line {'xy'[axis]}={a}"
+                    )
                 continue
-            strip_corridors = [
-                c for c in corr if c.orientation == orientation and c.stratum == m
-            ]
-            for (t0, w0, d0), (t1, w1, d1) in zip(events, events[1:] + events[:1]):
+            d = 1 if b > a else -1
+            for j in _lines_between(a, b, n):
+                t = u0 + (u1 - u0) * (Fraction(j, n) - a) / (b - a)
+                events.setdefault((j + 1) // 2, []).append((t, 1 - j % 2, d))
+        along = 1 - axis
+        for m, evs in events.items():
+            for (t0, w0, d0), (t1, w1, d1) in zip(evs, evs[1:] + evs[:1]):
                 entering = (w0 == 0 and d0 > 0) or (w0 == 1 and d0 < 0)
                 if not entering:
                     continue
                 end = t1 if t1 > t0 else t1 + 1
-                mid = _mod1((t0 + end) / 2)
-                pm = loop.point_at(mid)
-                home = None
-                for c in strip_corridors:
-                    if c.extent[0] <= pm[along] <= c.extent[1]:
-                        home = c
-                        break
+                pm = loop.point_at(_mod1((t0 + end) / 2))
+                home = _corridor_at(corr, orientation, m, pm[along])
                 if home is None:
                     raise AssertionError(
                         f"in-strip point {pm} outside every corridor extent"

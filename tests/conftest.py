@@ -25,7 +25,7 @@ from carpetloop import (
     eligible_squares,
     realize_word,
 )
-from carpetloop.errors import Unroutable
+from carpetloop.errors import DegeneratePosition, Unroutable
 
 
 @pytest.fixture(scope="session")
@@ -458,6 +458,54 @@ def random_explicit_space(depth, rng: random.Random, keep=0.5) -> DefiningSequen
         if rng.random() < keep
     ]
     return DefiningSequence.explicit(depth, removed)
+
+
+# ---------------------------------------------------------------------------
+# Crossing-interval oracle: every edge scanned once per strip, and every
+# corridor filtered once per strip
+
+
+def _scan_strip_events(loop, lo, hi, axis):
+    """(param, line: 0 = lo / 1 = hi, direction) of one strip's crossings."""
+    events = []
+    for p, q, t0, t1 in loop.edges():
+        a, b = p[axis], q[axis]
+        for which, v in ((0, lo), (1, hi)):
+            if a == v and b == v:
+                raise DegeneratePosition(f"edge at t={t0} lies on the line {'xy'[axis]}={v}")
+            if a < v < b or b < v < a:
+                t = t0 + (t1 - t0) * (v - a) / (b - a)
+                events.append((t, which, 1 if b > a else -1))
+    events.sort()
+    return events
+
+
+def scan_crossing_intervals(loop, seq, i):
+    """Full-crossing intervals per orientation, one strip at a time."""
+    n = 3**i
+    out = {"H": [], "V": []}
+    corr = corridors(seq, i)
+    for orientation, axis in (("H", 1), ("V", 0)):
+        along = 1 - axis
+        for m in range(1, (n - 1) // 2 + 1):
+            events = _scan_strip_events(loop, Fraction(2 * m - 1, n), Fraction(2 * m, n), axis)
+            if not events:
+                continue
+            strip = [c for c in corr if c.orientation == orientation and c.stratum == m]
+            for (t0, w0, d0), (t1, w1, _) in zip(events, events[1:] + events[:1]):
+                if not ((w0 == 0 and d0 > 0) or (w0 == 1 and d0 < 0)):
+                    continue
+                end = t1 if t1 > t0 else t1 + 1
+                mid = (t0 + end) / 2
+                pm = loop.point_at(mid - (mid.numerator // mid.denominator))
+                home = next(c for c in strip if c.extent[0] <= pm[along] <= c.extent[1])
+                out[orientation].append(
+                    CrossingInterval(t0, end, home, 1 if w0 == 0 else -1, w1 != w0)
+                )
+    return (
+        tuple(sorted(out["H"], key=lambda c: c.start)),
+        tuple(sorted(out["V"], key=lambda c: c.start)),
+    )
 
 
 # ---------------------------------------------------------------------------

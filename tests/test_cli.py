@@ -77,6 +77,12 @@ class TestEncode:
         assert code == 2
         assert "error" in out
 
+    @pytest.mark.parametrize("flag", ["--caps", "--cap-per-level", "--cap-work"])
+    def test_search_caps_not_accepted(self, capsys, files, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--space", files["space"], "--loop", files["ring"], flag, "5"])
+        assert exc.value.code == 2
+
 
 class TestDecide:
     def test_nontrivial_ring(self, capsys, files):
@@ -310,6 +316,12 @@ class TestOracle:
         assert out["trivial"] is True
         assert out["diagram_count"] == 1
         assert out["diagrams"] == [[[0, 2], [1, 3]]]
+
+    def test_zero_cap_is_a_cap(self, capsys):
+        code, _ = run(capsys, ["oracle", "a+", "a-", "--diagrams", "--cap-per-level", "0"])
+        assert code == 3
+        code, out = run(capsys, ["oracle", "a+", "a-", "--diagrams", "--cap-per-level", "1"])
+        assert code == 0 and out["diagram_count"] == 1
 
     def test_caret_inverse_tokens(self, capsys):
         code, out = run(capsys, ["oracle", "a", "a^-1"])

@@ -51,6 +51,27 @@ class TestEligibility:
         with pytest.raises(ValueError):
             DefiningSequence.explicit(1, [(2, 1, 1)])
 
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_explicit_accepts_exactly_brute_eligible(self, level):
+        from conftest import brute_eligible
+
+        eligible = brute_eligible(level)
+        half = (3**level - 1) // 2
+        for k in range(1, half + 1):
+            for m in range(1, half + 1):
+                if (k, m) in eligible:
+                    DefiningSequence.explicit(level, [(level, k, m)])
+                else:
+                    with pytest.raises(ValueError):
+                        DefiningSequence.explicit(level, [(level, k, m)])
+
+    def test_explicit_checks_each_square_alone(self):
+        from carpetloop.grid import _eligible_at
+
+        calls = _eligible_at.cache_info()[:2]  # hits, misses
+        DefiningSequence.explicit(6, [(6, 1, 1)])
+        assert _eligible_at.cache_info()[:2] == calls
+
 
 class TestContainment:
     def test_point_inside_central(self, fc2):

@@ -37,9 +37,9 @@ from carpetloop.homotopy import (
     _cross,
     _float_orient,
     _free_target,
-    _segment_in_cells,
     _segments_cross,
 )
+from carpetloop.grid import _segment_cells
 from carpetloop.serialize import loop_from_json
 
 from conftest import (
@@ -331,11 +331,16 @@ class TestFreeTargets:
             assert g.holds, (g.level_pair, g.max_sq)
 
     def test_segment_in_cells(self):
-        region = {(0, 0), (0, 1)}
-        a, b = (F(1, 6), F(1, 6)), (F(1, 6), F(1, 2))
-        assert _segment_in_cells(a, b, region, 3)
-        c = (F(5, 6), F(1, 6))
-        assert not _segment_in_cells(a, c, region, 3)
+        # Endpoints on grid lines: only the cells the open segment enters,
+        # in order along it.
+        a, b = (F(1, 6), F(0)), (F(1, 6), F(2, 3))
+        assert list(_segment_cells(a, b, 3)) == [(0, 0), (0, 1)]
+        assert list(_segment_cells(b, a, 3)) == [(0, 1), (0, 0)]
+        assert list(_segment_cells(a, (F(5, 6), F(1, 3)), 3)) == [(0, 0), (1, 0), (2, 0)]
+        # Through a grid vertex: no third cell.
+        assert list(_segment_cells((F(0), F(0)), (F(2, 3), F(2, 3)), 3)) == [(0, 0), (1, 1)]
+        # A piece on a line takes the cell above it.
+        assert list(_segment_cells((F(0), F(1, 3)), (F(2, 3), F(1, 3)), 3)) == [(0, 1), (1, 1)]
 
 
 class TestGap:

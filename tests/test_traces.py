@@ -15,7 +15,9 @@ from carpetloop import (
     diagram_valid,
     encode_word,
     enumerate_diagrams,
+    first_diagram,
     induce_diagram,
+    induces,
     refinement_map,
     trace_trivial,
 )
@@ -30,8 +32,10 @@ from carpetloop import corridors
 
 from conftest import (
     bfs_trivial,
+    closed_walk_word,
     make_trace,
     out_and_back_word,
+    random_explicit_space,
     realized_loop,
     subset_dp_trivial,
     word_from_letters,
@@ -186,6 +190,18 @@ class TestDiagrams:
             enumerate_diagrams(w, cap=3)
         assert len(exc.value.partial) == 3
 
+    def test_first_diagram_is_first_enumerated(self):
+        rng = random.Random(20240815)
+        found = 0
+        for _ in range(300):
+            w = random_word(rng)
+            back = tuple((g, -e) for g, e in reversed(w.letters))
+            for word in (w, TraceWord(w.letters + back, w.commutes)):
+                every = enumerate_diagrams(word)
+                assert first_diagram(word) == (every[0] if every else None), word.text
+                found += bool(every)
+        assert found > 300
+
     def test_preassigned_restricts(self):
         w = make_trace(["D+", "D-", "D+", "D-"])
         got = enumerate_diagrams(w, preassigned=[(0, 1)])
@@ -251,6 +267,36 @@ class TestInduce:
                 for c in coarse:
                     assert diagram_valid(TraceWord.from_cyclic(w1), c)
             done += 1
+
+
+    def test_induces_is_membership(self, fc4):
+        # Containment of the forced pairs against the enumeration, for
+        # every valid coarse diagram of realized depth-4 walks.
+        rng = random.Random(37)
+        walks = (
+            lambda seq, level: out_and_back_word(seq, level, rng, max_len=6),
+            lambda seq, level: closed_walk_word(seq, level, rng, wander=8),
+        )
+        checked = {True: 0, False: 0}
+        for seq in (fc4, random_explicit_space(4, rng)):
+            for level in (2, 3, 4):
+                for walk in walks:
+                    loop = realized_loop(seq, walk(seq, level))
+                    if loop is None:
+                        continue
+                    words = [encode_word(loop, seq, i) for i in range(1, 5)]
+                    for coarse, fine in zip(words, words[1:]):
+                        corr = refinement_map(coarse, fine)
+                        every = enumerate_diagrams(TraceWord.from_cyclic(coarse))
+                        for d in enumerate_diagrams(TraceWord.from_cyclic(fine))[:20]:
+                            try:
+                                induced = set(induce_diagram(d, corr))
+                            except NoInducedDiagram:
+                                induced = set()
+                            for c in every:
+                                assert induces(d, corr, c) == (c in induced)
+                                checked[c in induced] += 1
+        assert checked[True] and checked[False]
 
 
 class TestScheme:

@@ -19,10 +19,19 @@ from carpetloop import (
     encode_word,
     realize_word,
     refinement_map,
+    subdivided_ring,
     validate_loop,
 )
+from carpetloop.errors import DegeneratePosition
 
-from conftest import closed_walk_word, out_and_back_word, realized_loop, word_from_letters
+from conftest import (
+    closed_walk_word,
+    out_and_back_word,
+    random_explicit_space,
+    realized_loop,
+    scan_crossing_intervals,
+    word_from_letters,
+)
 
 HSETTINGS = dict(derandomize=True, deadline=None, max_examples=60)
 
@@ -78,6 +87,120 @@ class TestCrossingIntervals:
         hs, vs = crossing_intervals(loop, fc1, 1)
         assert vs == ()
         assert [iv.full for iv in hs] == [False]
+
+
+def _from_a_midpoint(loop, rng):
+    """The loop with every edge halved, based at a random edge's midpoint.
+
+    A crossing edge's midpoint is inside its strip, so the interval of
+    that crossing wraps through the basepoint.
+    """
+    vs = []
+    for p, q, _, _ in loop.edges():
+        vs += [p, ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)]
+    r = 2 * rng.randrange(len(loop)) + 1
+    return PolyLoop(tuple(vs[r:] + vs[:r]))
+
+
+def _walk_loops(seq, rng):
+    """Realized walks, closed walks and zig-zags at every level, and rings."""
+    loops = []
+    for level in range(1, seq.depth + 1):
+        hs = [c for c in corridors(seq, level) if c.orientation == "H"]
+        zigzag = word_from_letters(seq, level, [(rng.choice(hs), s) for s in (1, -1)] * 3)
+        for word in (
+            out_and_back_word(seq, level, rng),
+            closed_walk_word(seq, level, rng),
+            zigzag,
+        ):
+            loop = realized_loop(seq, word)
+            if loop is not None:
+                loops.append(loop)
+    if seq.pattern == "full_carpet":
+        loops += [central_ring(seq), subdivided_ring(seq, 16)]
+    return loops
+
+
+def _random_polygons(rng, count=9):
+    """Polygons with long edges every way, some axis-parallel off every line.
+
+    Coordinates are multiples of 1/560, so no vertex is on a ternary line.
+    """
+    c = lambda lo=1, hi=559: F(rng.randint(lo, hi), 560)
+    loops = []
+    for _ in range(count):
+        vs = [(c(), c()) for _ in range(rng.randint(3, 8))]
+        j = rng.randrange(len(vs))
+        vs[j - 1] = (vs[j - 1][0], vs[j][1])  # a horizontal edge
+        loops.append(PolyLoop(tuple(vs)))
+    # zig-zags across every H strip, closed by one long edge back
+    for _ in range(count // 3):
+        xs = sorted(rng.sample(range(1, 560), 9))
+        vs = [(F(x, 560), c(1, 50) if k % 2 else c(510, 559)) for k, x in enumerate(xs)]
+        loops.append(PolyLoop(tuple(vs)))
+    return loops
+
+
+class TestCrossingWalk:
+    """crossing_intervals against the per-strip edge scan it replaced."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["full", "explicit"])
+    def test_walks_match_scan(self, kind, depth):
+        rng = random.Random(80 + depth)
+        if kind == "full":
+            seq = DefiningSequence.full_carpet(depth)
+        else:
+            seq = random_explicit_space(depth, rng)
+        wraps = 0
+        for loop in _walk_loops(seq, rng):
+            halved = _from_a_midpoint(loop, rng)
+            for lp in (loop, halved) if validate_loop(halved, seq, depth).ok else (loop,):
+                for i in range(1, depth + 1):
+                    got = crossing_intervals(lp, seq, i)
+                    assert got == scan_crossing_intervals(lp, seq, i), (i, lp)
+                    wraps += sum(iv.end > 1 for iv in got[0] + got[1])
+        assert wraps
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_long_edges_match_scan(self, depth):
+        seq = DefiningSequence.explicit(depth, [])
+        rng = random.Random(90 + depth)
+        wraps = 0
+        for loop in _random_polygons(rng):
+            if not validate_loop(loop, seq, depth).ok:
+                continue
+            for i in range(1, depth + 1):
+                got = crossing_intervals(loop, seq, i)
+                assert got == scan_crossing_intervals(loop, seq, i), (i, loop)
+                wraps += sum(iv.end > 1 for iv in got[0] + got[1])
+        assert wraps
+
+    def test_edge_on_strip_line_is_degenerate(self):
+        seq = DefiningSequence.explicit(2, [])
+        on_h = PolyLoop(((F(1, 10), F(1, 3)), (F(1, 5), F(1, 3)), (F(1, 7), F(1, 10))))
+        on_v = PolyLoop(((F(2, 9), F(1, 10)), (F(2, 9), F(1, 5)), (F(1, 10), F(1, 7))))
+        on_top = PolyLoop(((F(1, 10), F(2, 3)), (F(1, 5), F(2, 3)), (F(1, 7), F(9, 10))))
+        for loop, levels in ((on_h, (1, 2)), (on_v, (2,)), (on_top, (1, 2))):
+            for i in levels:
+                with pytest.raises(DegeneratePosition):
+                    crossing_intervals(loop, seq, i)
+                with pytest.raises(DegeneratePosition):
+                    scan_crossing_intervals(loop, seq, i)
+
+    def test_axis_parallel_edge_off_strip_lines(self, fc2):
+        # x = 2/9 is a line of level 2 only; y = 0 and y = 1/2 are no strip
+        # line at any level.
+        on_v = PolyLoop(((F(2, 9), F(1, 10)), (F(2, 9), F(1, 5)), (F(1, 10), F(1, 7))))
+        on_edge = PolyLoop(((F(1, 10), F(0)), (F(1, 5), F(0)), (F(1, 7), F(1, 10))))
+        for loop in (on_v, on_edge):
+            assert crossing_intervals(loop, fc2, 1) == ((), ())
+        seq = DefiningSequence.explicit(2, [])
+        mid = PolyLoop(((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2)), (F(1, 2), F(1, 10))))
+        for i in (1, 2):
+            got = crossing_intervals(mid, seq, i)
+            assert got == scan_crossing_intervals(mid, seq, i)
+            assert got[0] and got[1]
 
 
 class TestEncode:
