@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from typing import Optional
 
 from .decide import (
@@ -210,30 +209,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from .rings import subdivided_ring
-
-    seq = DefiningSequence.full_carpet(args.depth)
-    loop = subdivided_ring(seq, args.vertices)
-    t0 = time.monotonic()
-    v, cert = make_certificate(loop, seq, N=args.level)
-    t_decide = time.monotonic() - t0
-    t0 = time.monotonic()
-    rep = check_certificate(cert, loop, seq) if cert else None
-    t_check = time.monotonic() - t0
-    _emit(
-        {
-            "depth": args.depth,
-            "vertices": len(loop),
-            "verdict": _verdict_json(v),
-            "decide_seconds": round(t_decide, 4),
-            "check_seconds": round(t_check, 4),
-            "check_ok": None if rep is None else rep.ok,
-        }
-    )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="carpetloop",
@@ -315,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--diagrams", action="store_true")
     sp.add_argument("--cap-per-level", type=int, default=None)
     sp.set_defaults(fn=cmd_oracle)
-
-    sp = sub.add_parser("bench", help="time the decider on a subdivided ring")
-    sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--vertices", type=int, default=200)
-    sp.add_argument("--level", type=int, default=None)
-    sp.set_defaults(fn=cmd_bench)
 
     return p
 

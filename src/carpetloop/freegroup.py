@@ -6,13 +6,22 @@ word in the free group on the holes; deleting the deepest letters is
 the bonding map between levels.  The rays must be pairwise disjoint:
 crossing rays leave a bounded component in their complement and loops
 around it would pick up spurious commutators.
+
+Every ray has the direction d = (3^(depth+1), -1), so each lies on a
+line L(P) = dx*Py - dy*Px = key, and the key of a puncture's line is
+one integer at scale 2*3^i.  L is affine, so along an edge it moves
+monotonically from L(start) to L(end) and the edge meets the line of
+key K at a parameter that is monotone in K.  Sorting the punctures by
+key once therefore orders the crossings along every edge: the edge
+reads the keys between its two end values, ascending when L rises
+along it and descending when L falls.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegeneratePosition
@@ -29,6 +38,27 @@ class Puncture:
 
 
 @lru_cache(maxsize=None)
+def _puncture_table(
+    seq: DefiningSequence, i: int
+) -> tuple[tuple[Puncture, ...], list[int], list[int]]:
+    """Punctures, their keys in ascending order, and the index of each key's puncture.
+
+    At scale 2*3^i the center of the level-s square (k, m) is the integer
+    point (cx, cy) = ((4k-1)*3^(i-s), (4m-1)*3^(i-s)), and its key is
+    dx*cy - dy*cx = dx*cy + cx.  As 0 < cx < 2*3^i < dx, the key alone
+    gives the center back: (cy, cx) = divmod(key, dx).
+    """
+    seq.check_level(i)
+    dx, dy = ray = (3 ** (seq.depth + 1), -1)
+    ps = tuple(Puncture(sq, sq.center, ray) for sq in seq.holes_up_to(i))
+    key = [
+        (dx * (4 * p.hole.m - 1) - dy * (4 * p.hole.k - 1)) * 3 ** (i - p.hole.level)
+        for p in ps
+    ]
+    order = sorted(range(len(ps)), key=key.__getitem__)
+    return ps, [key[pi] for pi in order], order
+
+
 def punctures(seq: DefiningSequence, i: int) -> tuple[Puncture, ...]:
     """Punctures of the level-i space, ordered by (level, k, m).
 
@@ -40,13 +70,11 @@ def punctures(seq: DefiningSequence, i: int) -> tuple[Puncture, ...]:
     height are never collinear with a strictly falling direction.
     Together the rays cut the punctured plane into one simply connected
     piece, so the crossing word below is the honest free-group image.
+    The same argument makes the rays' lines distinct, so their keys
+    dx*cy - dy*cx are distinct and order the crossings along any edge
+    (see the module docstring).
     """
-    seq.check_level(i)
-    ray = (3 ** (seq.depth + 1), -1)
-    out = []
-    for sq in seq.holes_up_to(i):
-        out.append(Puncture(sq, sq.center, ray))
-    return tuple(out)
+    return _puncture_table(seq, i)[0]
 
 
 @dataclass(frozen=True)
@@ -107,73 +135,70 @@ def reduce(word: FreeWord) -> FreeWord:
     return FreeWord(tuple(out))
 
 
-def _scaled_ints(loop: PolyLoop, seq: DefiningSequence, i: int):
-    """Loop vertices, puncture centers, and rays over one common denominator."""
-    den = 1
-    for v in loop.vertices:
-        for c in v:
-            den = math.lcm(den, c.denominator)
-    den = math.lcm(den, 2 * 3 ** i)
-    verts = [
-        (v[0].numerator * (den // v[0].denominator), v[1].numerator * (den // v[1].denominator))
-        for v in loop.vertices
-    ]
-    cents = []
-    for p in punctures(seq, i):
-        cx, cy = p.center
-        cents.append(
-            (cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator))
-        )
-    return verts, cents
-
-
 def _ray_crossings(
     loop: PolyLoop, seq: DefiningSequence, i: int
-) -> list[tuple[int, Fraction, int, int]]:
-    """(edge index, edge parameter, puncture index, sign) events.
+) -> list[tuple[int, int, int]]:
+    """(edge index, puncture index, sign) events, in order along the loop.
 
     Sign +1 means the edge crosses the ray counterclockwise around the
     puncture.  Vertices on a ray, or edges collinear with one, raise
-    DegeneratePosition.
+    DegeneratePosition for the first such (puncture, edge) pair in
+    puncture-major order.  Each edge only tests the punctures whose
+    keys lie between its end values, in the order it meets their lines.
     """
     seq.check_level(i)
-    ps = punctures(seq, i)
-    verts, cents = _scaled_ints(loop, seq, i)
+    ps, keys, order = _puncture_table(seq, i)
+    dx, dy = 3 ** (seq.depth + 1), -1
+    den = 2 * 3**i
+    for v in loop.vertices:
+        for c in v:
+            den = math.lcm(den, c.denominator)
+    scale = den // (2 * 3**i)
+    verts = [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in loop.vertices
+    ]
     n = len(verts)
     events = []
-    for pi, ((zx, zy), p) in enumerate(zip(cents, ps)):
-        dx, dy = p.ray
-        for j in range(n):
-            px, py = verts[j]
-            qx, qy = verts[(j + 1) % n]
+    degenerate = None
+    for j in range(n):
+        px, py = verts[j]
+        qx, qy = verts[(j + 1) % n]
+        lp, lq = dx * py - dy * px, dx * qy - dy * qx
+        # Punctures whose line the closed edge can meet: keys in
+        # [min, max] of the end values, brought back to scale 2*3^i.
+        lo = bisect_left(keys, -(-min(lp, lq) // scale))
+        hi = bisect_right(keys, max(lp, lq) // scale)
+        for r in range(lo, hi) if lp <= lq else range(hi - 1, lo - 1, -1):
+            zy, zx = divmod(keys[r], dx)
+            zx, zy = zx * scale, zy * scale
             # The ray points right and down; reject edges fully left of
-            # or above the center before any multiplication.
+            # or above the center before the cross products.
             if px < zx and qx < zx:
                 continue
             if py > zy and qy > zy:
                 continue
-            cp = dx * (py - zy) - dy * (px - zx)
-            cq = dx * (qy - zy) - dy * (qx - zx)
-            if cp == 0 and cq == 0:
-                raise DegeneratePosition(
-                    f"edge {j} is collinear with the ray of {p.hole.key()}"
-                )
+            kz = keys[r] * scale
+            cp, cq = lp - kz, lq - kz
             if cp == 0 or cq == 0:
-                vx, vy = (px, py) if cp == 0 else (qx, qy)
-                if dx * (vx - zx) + dy * (vy - zy) > 0:
-                    raise DegeneratePosition(
-                        f"a vertex of edge {j} lies on the ray of {p.hole.key()}"
-                    )
-                continue
-            if (cp > 0) == (cq > 0):
+                pi = order[r]
+                if cp == 0 and cq == 0:
+                    what = f"edge {j} is collinear with the ray of {ps[pi].hole.key()}"
+                else:
+                    vx, vy = (px, py) if cp == 0 else (qx, qy)
+                    if dx * (vx - zx) + dy * (vy - zy) <= 0:
+                        continue
+                    what = f"a vertex of edge {j} lies on the ray of {ps[pi].hole.key()}"
+                if degenerate is None or (pi, j) < degenerate[:2]:
+                    degenerate = (pi, j, what)
                 continue
             # The segment meets the full line; keep forward hits only.
             tnum = (px - zx) * (qy - py) - (py - zy) * (qx - px)
-            tden = cq - cp
-            if tnum * tden <= 0:
+            if tnum * (cq - cp) <= 0:
                 continue
-            events.append((j, Fraction(cp, cp - cq), pi, 1 if cq > cp else -1))
-    events.sort(key=lambda e: (e[0], e[1]))
+            events.append((j, order[r], 1 if cq > cp else -1))
+    if degenerate is not None:
+        raise DegeneratePosition(degenerate[2])
     return events
 
 
@@ -181,7 +206,7 @@ def winding_vector(loop: PolyLoop, seq: DefiningSequence, i: int) -> dict[GridSq
     """Net signed crossings per puncture: the abelianized word."""
     ps = punctures(seq, i)
     totals = {p.hole: 0 for p in ps}
-    for _, _, pi, s in _ray_crossings(loop, seq, i):
+    for _, pi, s in _ray_crossings(loop, seq, i):
         totals[ps[pi].hole] += s
     return totals
 
@@ -189,10 +214,10 @@ def winding_vector(loop: PolyLoop, seq: DefiningSequence, i: int) -> dict[GridSq
 def puncture_word(loop: PolyLoop, seq: DefiningSequence, i: int) -> FreeWord:
     """The reduced level-i free-group image of the loop."""
     ps = punctures(seq, i)
-    letters = tuple(
-        (ps[pi].hole, s) for _, _, pi, s in _ray_crossings(loop, seq, i)
-    )
-    return reduce(FreeWord(letters))
+    # Reduce over puncture indices: holes are distinct, so this is the
+    # same reduction without hashing or comparing squares.
+    reduced = reduce(FreeWord(tuple((pi, s) for _, pi, s in _ray_crossings(loop, seq, i))))
+    return FreeWord(tuple((ps[pi].hole, s) for pi, s in reduced.letters))
 
 
 def bonding_map(word: FreeWord, from_level: int) -> FreeWord:

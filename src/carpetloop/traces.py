@@ -10,7 +10,9 @@ never makes another deletable pair undeletable.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, MalformedDiagram, NoInducedDiagram, NotFoundError
@@ -31,8 +33,30 @@ class TraceWord:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def _graph(self) -> tuple[dict[Gen, int], list[int], list[set[int]]]:
+        """Generators interned once per word.
+
+        Dense ids in order of first appearance, each letter's id, and
+        each id's commuting neighbours among the generators present.
+        """
+        ids: dict[Gen, int] = {}
+        gid = [ids.setdefault(g, len(ids)) for g, _ in self.letters]
+        nbrs: list[set[int]] = [set() for _ in ids]
+        for pair in self.commutes:
+            if len(pair) == 2:
+                a, b = (ids.get(g) for g in pair)
+                if a is not None and b is not None:
+                    nbrs[a].add(b)
+                    nbrs[b].add(a)
+        return ids, gid, nbrs
+
     def commute(self, a: Gen, b: Gen) -> bool:
-        return a != b and frozenset((a, b)) in self.commutes
+        ids, _, nbrs = self._graph
+        ia, ib = ids.get(a), ids.get(b)
+        if ia is None or ib is None:
+            return a != b and frozenset((a, b)) in self.commutes
+        return ib in nbrs[ia]
 
     @staticmethod
     def from_cyclic(word: CyclicWord) -> "TraceWord":
@@ -62,41 +86,52 @@ class TraceWord:
 def trace_trivial(word: TraceWord) -> bool:
     """Does the word reduce to nothing under cancellation and sliding?
 
-    Standard piling argument: every letter drops a piece onto the stack
-    of its own generator and a blocker onto one shared stack per
-    non-commuting partner, so two letters interact exactly when they
-    must.  A letter cancels the top piece of its stack exactly when that
-    piece, blockers included, is fully exposed.  Triviality is
+    Piling (Viennot's heaps of pieces): each letter either cancels the
+    top live piece p of its generator's stack or is pushed as a new
+    piece.  It cancels p exactly when p has the opposite sign and is
+    exposed, i.e. every live piece pushed after p commutes with it:
+    the number of live pieces pushed after p equals the number of those
+    whose generators commute with p's.  A Fenwick tree over push order
+    counts the first; each commuting generator's stack holds its live
+    push positions in ascending order, so one bisect per neighbour
+    counts the second.  A letter costs O((deg + 1) log n), where deg is
+    its generator's number of commuting partners.  Triviality is
     conjugation-invariant, so testing one rotation suffices for the
     cyclic word.
     """
-    gens = sorted({g for g, _ in word.letters}, key=repr)
-    stacks: dict[Gen, list] = {g: [] for g in gens}
-    edges: dict[frozenset, list] = {}
-    partners = {
-        g: [h for h in gens if h != g and not word.commute(h, g)] for g in gens
-    }
-    for g in gens:
-        for h in partners[g]:
-            edges.setdefault(frozenset((g, h)), [])
-    counter = 0
-    for g, e in word.letters:
-        mine = [edges[frozenset((g, h))] for h in partners[g]]
-        top = stacks[g][-1] if stacks[g] else None
-        if top is not None and top[1] == -e:
-            pid = top[0]
-            if all(s and s[-1] == pid for s in mine):
-                stacks[g].pop()
-                for s in mine:
-                    s.pop()
+    _, gid, nbrs = word._graph
+    n = len(gid)
+    pushed: list[list[int]] = [[] for _ in nbrs]  # live push positions
+    sign = [0] * (n + 1)  # the sign of the piece at each push position
+    tree = [0] * (n + 1)  # Fenwick tree over push positions 1..n
+    live = count = 0
+    for g, (_, e) in zip(gid, word.letters):
+        mine = pushed[g]
+        if mine and sign[mine[-1]] == -e:
+            p = mine[-1]
+            after = live
+            r = p
+            while r:
+                after -= tree[r]
+                r &= r - 1
+            if after == 0 or after == sum(
+                len(pushed[h]) - bisect_right(pushed[h], p) for h in nbrs[g]
+            ):
+                mine.pop()
+                live -= 1
+                while p <= n:
+                    tree[p] -= 1
+                    p += p & -p
                 continue
-        counter += 1
-        stacks[g].append((counter, e))
-        for s in mine:
-            s.append(counter)
-    return all(not s for s in stacks.values()) and all(
-        not s for s in edges.values()
-    )
+        count += 1
+        mine.append(count)
+        sign[count] = e
+        live += 1
+        r = count
+        while r <= n:
+            tree[r] += 1
+            r += r & -r
+    return live == 0
 
 
 @dataclass(frozen=True)
@@ -142,19 +177,11 @@ def _check_matching(word: TraceWord, diagram: CancellationDiagram) -> None:
 
 def _deletable(word: TraceWord, alive: set[int], p: int, q: int) -> bool:
     """Can (p, q) cancel now: one side of the chord all commutes with it."""
-    g = word.letters[p][0]
-    inside_ok = all(
-        word.commute(word.letters[r][0], g)
-        for r in alive
-        if p < r < q
-    )
-    if inside_ok:
+    _, gid, nbrs = word._graph
+    near = nbrs[gid[p]]
+    if all(gid[r] in near for r in alive if p < r < q):
         return True
-    return all(
-        word.commute(word.letters[r][0], g)
-        for r in alive
-        if r < p or r > q
-    )
+    return all(gid[r] in near for r in alive if r < p or r > q)
 
 
 def diagram_valid(word: TraceWord, diagram: CancellationDiagram) -> bool:
@@ -210,7 +237,8 @@ def _iter_matchings(
     must balance inside every chord); full validity is checked last.
     """
     n = len(word)
-    letters = word.letters
+    _, gid, nbrs = word._graph
+    sgn = [e for _, e in word.letters]
     base = [tuple(sorted(p)) for p in preassigned]
     used = set()
     for p, q in base:
@@ -218,25 +246,23 @@ def _iter_matchings(
             raise MalformedDiagram(f"preassigned pairs reuse position {p},{q}")
         used.update((p, q))
 
-    sums: dict[Gen, int] = {}
-    for g, e in letters:
-        sums[g] = sums.get(g, 0) + e
-    if any(v != 0 for v in sums.values()):
+    sums = [0] * len(nbrs)
+    for g, e in zip(gid, sgn):
+        sums[g] += e
+    if any(sums):
         return
 
     def compatible(pairs: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-        g = letters[cand[0]][0]
+        near = nbrs[gid[cand[0]]]
         for other in pairs:
-            h = letters[other[0]][0]
-            if not word.commute(g, h) and _crosses(cand, other):
+            if gid[other[0]] not in near and _crosses(cand, other):
                 return False
         p, q = cand
-        inside = [r for r in range(p + 1, q) if r not in used_now]
-        for h in {letters[r][0] for r in inside}:
-            if h == g or not word.commute(h, g):
-                if sum(letters[r][1] for r in inside if letters[r][0] == h) != 0:
-                    return False
-        return True
+        balance: dict[int, int] = {}
+        for r in range(p + 1, q):
+            if r not in used_now and gid[r] not in near:
+                balance[gid[r]] = balance.get(gid[r], 0) + sgn[r]
+        return not any(balance.values())
 
     used_now = set(used)
     chosen: list[tuple[int, int]] = list(base)
@@ -250,11 +276,9 @@ def _iter_matchings(
             if diagram_valid(word, d):
                 yield d
             return
-        g, e = letters[p]
+        g, e = gid[p], sgn[p]
         for q in range(p + 1, n):
-            if q in used_now:
-                continue
-            if letters[q] != (g, -e):
+            if q in used_now or gid[q] != g or sgn[q] != -e:
                 continue
             cand = (p, q)
             if not compatible(chosen, cand):

@@ -7,6 +7,7 @@ were produced by genuinely independent computations.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -23,6 +24,7 @@ from carpetloop import (
     TraceWord,
     corridors,
     eligible_squares,
+    punctures,
     realize_word,
 )
 from carpetloop.errors import DegeneratePosition, Unroutable
@@ -162,6 +164,46 @@ def subset_dp_trivial(letters, commutes) -> bool:
         return False
 
     return solve(frozenset(range(n)))
+
+
+def stack_trivial(word: TraceWord) -> bool:
+    """Does the word reduce to nothing under cancellation and sliding?
+
+    Standard piling argument: every letter drops a piece onto the stack
+    of its own generator and a blocker onto one shared stack per
+    non-commuting partner, so two letters interact exactly when they
+    must.  A letter cancels the top piece of its stack exactly when that
+    piece, blockers included, is fully exposed.  Triviality is
+    conjugation-invariant, so testing one rotation suffices for the
+    cyclic word.
+    """
+    gens = sorted({g for g, _ in word.letters}, key=repr)
+    stacks: dict[Gen, list] = {g: [] for g in gens}
+    edges: dict[frozenset, list] = {}
+    partners = {
+        g: [h for h in gens if h != g and not word.commute(h, g)] for g in gens
+    }
+    for g in gens:
+        for h in partners[g]:
+            edges.setdefault(frozenset((g, h)), [])
+    counter = 0
+    for g, e in word.letters:
+        mine = [edges[frozenset((g, h))] for h in partners[g]]
+        top = stacks[g][-1] if stacks[g] else None
+        if top is not None and top[1] == -e:
+            pid = top[0]
+            if all(s and s[-1] == pid for s in mine):
+                stacks[g].pop()
+                for s in mine:
+                    s.pop()
+                continue
+        counter += 1
+        stacks[g].append((counter, e))
+        for s in mine:
+            s.append(counter)
+    return all(not s for s in stacks.values()) and all(
+        not s for s in edges.values()
+    )
 
 
 def make_trace(tokens, commuting=()) -> TraceWord:
@@ -611,3 +653,76 @@ def contained_1d_eligible(i) -> set[tuple[int, int]]:
             for s in range(1, i)
         )
     }
+
+
+# ---------------------------------------------------------------------------
+# Ray-crossing oracle: every puncture tested against every edge, events
+# sorted by exact edge parameter
+
+
+def _scaled_ints(loop, seq, i):
+    """Loop vertices, puncture centers, and rays over one common denominator."""
+    den = 1
+    for v in loop.vertices:
+        for c in v:
+            den = math.lcm(den, c.denominator)
+    den = math.lcm(den, 2 * 3 ** i)
+    verts = [
+        (v[0].numerator * (den // v[0].denominator), v[1].numerator * (den // v[1].denominator))
+        for v in loop.vertices
+    ]
+    cents = []
+    for p in punctures(seq, i):
+        cx, cy = p.center
+        cents.append(
+            (cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator))
+        )
+    return verts, cents
+
+
+def scan_ray_crossings(loop, seq, i):
+    """(edge index, edge parameter, puncture index, sign) events.
+
+    Sign +1 means the edge crosses the ray counterclockwise around the
+    puncture.  Vertices on a ray, or edges collinear with one, raise
+    DegeneratePosition.
+    """
+    seq.check_level(i)
+    ps = punctures(seq, i)
+    verts, cents = _scaled_ints(loop, seq, i)
+    n = len(verts)
+    events = []
+    for pi, ((zx, zy), p) in enumerate(zip(cents, ps)):
+        dx, dy = p.ray
+        for j in range(n):
+            px, py = verts[j]
+            qx, qy = verts[(j + 1) % n]
+            # The ray points right and down; reject edges fully left of
+            # or above the center before any multiplication.
+            if px < zx and qx < zx:
+                continue
+            if py > zy and qy > zy:
+                continue
+            cp = dx * (py - zy) - dy * (px - zx)
+            cq = dx * (qy - zy) - dy * (qx - zx)
+            if cp == 0 and cq == 0:
+                raise DegeneratePosition(
+                    f"edge {j} is collinear with the ray of {p.hole.key()}"
+                )
+            if cp == 0 or cq == 0:
+                vx, vy = (px, py) if cp == 0 else (qx, qy)
+                if dx * (vx - zx) + dy * (vy - zy) > 0:
+                    raise DegeneratePosition(
+                        f"a vertex of edge {j} lies on the ray of {p.hole.key()}"
+                    )
+                continue
+            if (cp > 0) == (cq > 0):
+                continue
+            # The segment meets the full line; keep forward hits only.
+            tnum = (px - zx) * (qy - py) - (py - zy) * (qx - px)
+            tden = cq - cp
+            if tnum * tden <= 0:
+                continue
+            events.append((j, Fraction(cp, cp - cq), pi, 1 if cq > cp else -1))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return events

@@ -332,15 +332,6 @@ class TestOracle:
         assert code == 2
 
 
-class TestBench:
-    def test_smoke(self, capsys):
-        code, out = run(capsys, ["bench", "--depth", "2", "--vertices", "24"])
-        assert code == 0
-        assert out["verdict"]["verdict"] == "nontrivial"
-        assert out["check_ok"] is True
-        assert out["decide_seconds"] >= 0
-
-
 class TestEntryPoints:
     def test_python_dash_m(self, files):
         proc = subprocess.run(

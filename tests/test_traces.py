@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from conftest import (
     out_and_back_word,
     random_explicit_space,
     realized_loop,
+    stack_trivial,
     subset_dp_trivial,
     word_from_letters,
 )
@@ -132,6 +134,107 @@ class TestTrivial:
         for _ in range(120):
             w = random_word(rng, max_len=8)
             assert trace_trivial(w) == bool(enumerate_diagrams(w)), w.text
+
+
+def corridor_gen(j: int):
+    """A corridor-id-shaped generator: (orientation, level, stratum, extent start)."""
+    return ("HV"[j % 2], 8, 1 + j // 2, Fraction(2 * j, 3**8))
+
+
+def relation_of(gens, rng, density):
+    pool = list(itertools.combinations(sorted(gens, key=repr), 2))
+    picked = [p for p in pool if rng.random() < density]
+    return frozenset(frozenset(p) for p in picked)
+
+
+def built_word(rng, gens, relation, pairs, nontrivial=False):
+    """A word trivial by construction: nested inverse pairs, then commuting swaps.
+
+    The first pairs take the generators in turn, so every generator
+    occurs once there are enough pairs.  With nontrivial=True a
+    commutator of two non-commuting generators is spliced in, which
+    leaves a conjugate of it: nontrivial, with every exponent sum still
+    zero.
+    """
+    word = []
+    for k in range(pairs):
+        g = gens[k] if k < len(gens) else rng.choice(gens)
+        e = rng.choice((1, -1))
+        at = rng.randint(0, len(word))
+        word[at:at] = [(g, e), (g, -e)]
+    for _ in range(2):
+        for j in range(len(word) - 1):
+            a, b = word[j][0], word[j + 1][0]
+            if a != b and frozenset((a, b)) in relation and rng.random() < 0.5:
+                word[j], word[j + 1] = word[j + 1], word[j]
+    if nontrivial:
+        while True:
+            a, b = rng.sample(gens, 2)
+            if frozenset((a, b)) not in relation:
+                break
+        at = rng.randint(0, len(word))
+        word[at:at] = [(a, 1), (b, 1), (a, -1), (b, -1)]
+    return TraceWord(tuple(word), relation)
+
+
+class TestPilingMatchesStack:
+    """The exposure-count piling against the per-pair stacks it replaced."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.2, 0.8], ids=["empty", "sparse", "dense"])
+    @pytest.mark.parametrize("kind", ["string", "corridor"])
+    def test_random_small_words(self, density, kind):
+        rng = random.Random(f"piling:{density}:{kind}")
+        gens = list("abcde") if kind == "string" else [corridor_gen(j) for j in range(5)]
+        for _ in range(300):
+            n = 2 * rng.randint(0, 5)
+            letters = tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(n))
+            w = TraceWord(letters, relation_of(gens, rng, density))
+            got = trace_trivial(w)
+            assert got == stack_trivial(w), w.text
+            assert got == subset_dp_trivial(w.letters, w.commutes), w.text
+            if n <= 6:
+                assert got == bfs_trivial(w.letters, w.commutes), w.text
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5], ids=["empty", "sparse", "dense"])
+    @pytest.mark.parametrize("kind", ["string", "corridor"])
+    def test_built_words(self, density, kind):
+        rng = random.Random(f"built:{density}:{kind}")
+        seen = set()
+        for t in range(80):
+            g = rng.randint(2, 12)
+            gens = [f"g{j}" if kind == "string" else corridor_gen(j) for j in range(g)]
+            relation = relation_of(gens, rng, density)
+            if len(relation) == g * (g - 1) // 2:
+                continue
+            w = built_word(rng, gens, relation, rng.randint(0, 20), nontrivial=t % 2 == 1)
+            got = trace_trivial(w)
+            assert got == stack_trivial(w) == (t % 2 == 0), w.text
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_relation_beyond_the_letters(self):
+        # pairs naming absent generators, and a one-element "pair", are inert
+        w = make_trace(["a+", "b+", "a-", "b-"], (("a", "z"), ("a", "a"), ("b", "y")))
+        assert not trace_trivial(w) and not stack_trivial(w)
+        assert w.commute("a", "z") and not w.commute("a", "a") and not w.commute("a", "b")
+        assert not w.commute("y", "z")
+
+    def test_long_sparse_word_decides(self):
+        # 2,200 inverse pairs over 1,500 generators, each commuting with a
+        # few others: the size of a level-8 corridor word
+        rng = random.Random(4376)
+        gens = [corridor_gen(j) for j in range(1500)]
+        relation = set()
+        for a in gens:
+            for b in rng.sample(gens, 3):
+                if a != b:
+                    relation.add(frozenset((a, b)))
+        relation = frozenset(relation)
+        trivial = built_word(rng, gens, relation, 2200)
+        assert len(trivial) == 4400 and len({g for g, _ in trivial.letters}) == 1500
+        assert trace_trivial(trivial)
+        twisted = built_word(rng, gens, relation, 2200, nontrivial=True)
+        assert not trace_trivial(twisted)
 
 
 class TestDiagrams:
