@@ -10,12 +10,15 @@ The level-s candidate (k, m) is the scale-s cell (2k-1, 2m-1).  Each
 space indexes its removed squares once, by key and by line; whether a
 cell or point is kept, which square covers it and which squares cut a
 strip are read from that index along the cell's ancestors, one per scale.
+The index also holds each strip's corridors, built when a strip is first
+asked for, so reading a loop's words builds only the strips it crosses;
+the whole level's corridors are the concatenation of its strips.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -106,11 +109,21 @@ class _HoleIndex:
 
     lines[(orientation, level, stratum)] holds the ascending extent index
     of each square on that line: k on an "H" line, m on a "V" line.
+    strips[(orientation, level, stratum)] caches that strip's corridors.
     """
 
     squares: dict[tuple[int, int, int], GridSquare]
     by_level: tuple[tuple[GridSquare, ...], ...]  # level s at s-1, in key order
     lines: dict[tuple[str, int, int], list[int]]
+    strips: dict[tuple[str, int, int], tuple[Corridor, ...]] = field(default_factory=dict)
+
+    def strip(self, orientation: str, i: int, m: int) -> tuple[Corridor, ...]:
+        """The corridors of level-i strip m of one orientation, in extent order."""
+        key = (orientation, i, m)
+        cs = self.strips.get(key)
+        if cs is None:
+            cs = self.strips[key] = _build_strip(self.lines, orientation, i, m)
+        return cs
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +260,9 @@ class Corridor:
 
     def extent_units(self) -> tuple[int, int]:
         n = _pow3(self.level)
-        lo, hi = self.extent[0] * n, self.extent[1] * n
-        assert lo.denominator == 1 and hi.denominator == 1
-        return (lo.numerator, hi.numerator)
+        (a, b), (c, d) = self.extent[0].as_integer_ratio(), self.extent[1].as_integer_ratio()
+        assert n % b == 0 and n % d == 0
+        return (a * (n // b), c * (n // d))
 
     def inner_contains(self, p: Point) -> bool:
         """Extent-closed, transversally-open membership."""
@@ -269,59 +282,64 @@ class Corridor:
         return f"{self.orientation}:{self.level}:{self.stratum}:{e0.numerator}/{e0.denominator}"
 
 
-@lru_cache(maxsize=None)
-def _corridors_cached(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
+def _build_strip(
+    lines: dict[tuple[str, int, int], list[int]], orientation: str, i: int, m: int
+) -> tuple[Corridor, ...]:
     n = _pow3(i)
-    lines = _hole_index(seq).lines
+    # Blocks: removed squares whose transverse side covers the whole
+    # strip, i.e. the squares on the line of each odd scale-s ancestor r
+    # of the strip's row.  Any other removed square misses the strip's
+    # interior, so these are the only cuts.
+    blocks: list[tuple[int, int]] = []
+    for s in range(1, i + 1):
+        t = _pow3(i - s)
+        r = (2 * m - 1) // t
+        if r & 1:
+            for e in lines.get((orientation, s, (r + 1) // 2), ()):
+                blocks.append(((2 * e - 1) * t, 2 * e * t))
+    blocks.sort()
+    # The corridors are the gaps between blocks, up to the sentinel at n,
+    # in extent order.
     out: list[Corridor] = []
-    for orientation in ("H", "V"):
-        for m in range(1, (n - 1) // 2 + 1):
-            # Blocks: removed squares whose transverse side covers the
-            # whole strip, i.e. the squares on the line of each odd
-            # scale-s ancestor r of the strip's row.  Any other removed
-            # square misses the strip's interior, so these are the only cuts.
-            blocks: list[tuple[int, int]] = []
-            for s in range(1, i + 1):
-                t = _pow3(i - s)
-                r = (2 * m - 1) // t
-                if r & 1:
-                    for e in lines.get((orientation, s, (r + 1) // 2), ()):
-                        blocks.append(((2 * e - 1) * t, 2 * e * t))
-            blocks.sort()
-            # The corridors are the gaps between blocks, up to the sentinel
-            # at n.  They come out in (orientation, stratum, extent) order,
-            # which is the sorted order of Corridor.
-            lo = 0
-            for b0, b1 in blocks + [(n, n)]:
-                if b0 > lo:
-                    extent = (Fraction(lo, n), Fraction(b0, n))
-                    out.append(Corridor(orientation, i, m, extent))
-                lo = max(lo, b1)
+    lo = 0
+    for b0, b1 in blocks + [(n, n)]:
+        if b0 > lo:
+            out.append(Corridor(orientation, i, m, (Fraction(lo, n), Fraction(b0, n))))
+        lo = max(lo, b1)
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _corridors_cached(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
+    # Strips in (orientation, stratum) order, so the concatenation is in
+    # the sorted order of Corridor.
+    strip = _hole_index(seq).strip
+    half = (_pow3(i) - 1) // 2
+    return tuple(
+        c for o in ("H", "V") for m in range(1, half + 1) for c in strip(o, i, m)
+    )
+
+
 def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
+    """Every corridor of level i, in sorted order."""
     seq.check_level(i)
     return _corridors_cached(seq, i)
 
 
-def _corridor_at(
-    cs: tuple[Corridor, ...], orientation: str, stratum: int, x: Fraction
-) -> Optional[Corridor]:
-    """The corridor of one strip whose extent holds x, from a sorted corridors tuple."""
-    j = bisect_right(
-        cs, (orientation, stratum, x), key=lambda c: (c.orientation, c.stratum, c.extent[0])
-    )
-    if j:
-        c = cs[j - 1]
-        if c.orientation == orientation and c.stratum == stratum and x <= c.extent[1]:
-            return c
+def _corridor_at(strip: tuple[Corridor, ...], x: Fraction) -> Optional[Corridor]:
+    """The corridor of one strip whose extent holds x."""
+    j = bisect_right(strip, x, key=lambda c: c.extent[0])
+    if j and x <= strip[j - 1].extent[1]:
+        return strip[j - 1]
     return None
 
 
 def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction]) -> Corridor:
     orientation, level, stratum, e0 = ident
-    c = _corridor_at(corridors(seq, level), orientation, stratum, e0)
+    seq.check_level(level)
+    c = None
+    if orientation in ("H", "V") and 1 <= stratum <= (_pow3(level) - 1) // 2:
+        c = _corridor_at(_hole_index(seq).strip(orientation, level, stratum), e0)
     if c is None or c.extent[0] != e0:
         raise KeyError(f"no corridor with id {ident}")
     return c

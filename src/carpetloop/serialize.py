@@ -9,23 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from .errors import CarpetLoopError
-from .grid import (
-    Corridor,
-    DefiningSequence,
-    EXPLICIT,
-    FULL_CARPET,
-    GridSquare,
-    PolyLoop,
-    corridors,
-)
+from .grid import DefiningSequence, EXPLICIT, FULL_CARPET, PolyLoop
 from .freegroup import FreeWord
-from .words import CrossingInterval, CyclicWord, Letter, crossing_relation
+from .words import CyclicWord
 
 
 class FormatError(CarpetLoopError):
@@ -117,85 +108,17 @@ def loop_hash(loop: PolyLoop) -> str:
 # ---------------------------------------------------------------------------
 # Corridor words
 
-_LETTER_RE = re.compile(r"^([HV]):(\d+):(\d+):(-?\d+/\d+)([+-])$")
-
 
 def word_to_text(word: CyclicWord) -> str:
     return word.text
 
 
-def parse_word(text: str, seq: DefiningSequence, level: Optional[int] = None) -> CyclicWord:
-    """Rebuild a word from letter tokens like "H:2:1:0/1+".
-
-    Crossing positions are not part of the text, so letters get evenly
-    spaced synthetic intervals; algebraic operations and realization do
-    not depend on them.
-    """
-    tokens = text.split()
-    letters = []
-    n = max(1, len(tokens))
-    by_id: dict[tuple, Corridor] = {}
-    lv = level
-    for j, tok in enumerate(tokens):
-        m = _LETTER_RE.match(tok)
-        if not m:
-            raise FormatError(f"bad letter token {tok!r}")
-        orient, li, stratum, ext, sgn = m.groups()
-        li = int(li)
-        if lv is None:
-            lv = li
-        if li != lv:
-            raise FormatError(f"letter {tok!r} is not at level {lv}")
-        if not by_id:
-            by_id = {c.id: c for c in corridors(seq, lv)}
-        ident = (orient, li, int(stratum), parse_frac(ext))
-        corr = by_id.get(ident)
-        if corr is None:
-            raise FormatError(f"no corridor {tok[:-1]!r} in this space")
-        sign = 1 if sgn == "+" else -1
-        start = Fraction(j, n)
-        interval = CrossingInterval(start, start + Fraction(1, 2 * n), corr, sign)
-        letters.append(Letter(corr, sign, interval))
-    if lv is None:
-        if level is None:
-            raise FormatError("empty word needs an explicit level")
-        lv = level
-    present = {l.generator for l in letters}
-    relation = frozenset(
-        pair for pair in crossing_relation(seq, lv) if pair <= present
-    )
-    return CyclicWord(lv, tuple(letters), relation)
-
-
 # ---------------------------------------------------------------------------
 # Free-group words
-
-_GEN_RE = re.compile(r"^g\[(\d+),(\d+),(\d+)\](?:\^(-?\d+))?$")
 
 
 def free_word_to_text(word: FreeWord) -> str:
     return word.text
-
-
-def parse_free_word(text: str, seq: Optional[DefiningSequence] = None) -> FreeWord:
-    letters: list[tuple[GridSquare, int]] = []
-    for tok in text.split():
-        m = _GEN_RE.match(tok)
-        if not m:
-            raise FormatError(f"bad generator token {tok!r}")
-        lv, k, mm, e = m.groups()
-        try:
-            sq = GridSquare(int(lv), int(k), int(mm))
-        except ValueError as err:
-            raise FormatError(str(err)) from err
-        exp = int(e) if e else 1
-        if seq is not None and sq not in seq.removed:
-            raise FormatError(f"{tok!r} is not a removed square of this space")
-        if exp == 0:
-            continue
-        step = 1 if exp > 0 else -1
-        letters.extend((sq, step) for _ in range(abs(exp)))
-    return FreeWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------

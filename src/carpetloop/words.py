@@ -2,16 +2,21 @@
 
 A loop meets each level-i strip in a cyclic sequence of maximal closed
 parameter intervals; the intervals whose two endpoint lines differ are
-full crossings and become letters.  Refinement relates the words of two
-consecutive levels; realization inverts encoding for abstract words.
+full crossings and become letters.  A word is read from the strips the
+loop crosses only: each crossing looks up its corridor in its own strip,
+and the commutation relation is built among the word's own corridors, so
+the cost follows the loop's letters rather than the level's holes.
+Refinement relates the words of two consecutive levels; realization
+inverts encoding for abstract words.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable
 
 from .errors import DegeneratePosition, RefinementViolation, Unroutable
 from .grid import (
@@ -21,6 +26,7 @@ from .grid import (
     Point,
     corridors,
     _corridor_at,
+    _hole_index,
     _lines_between,
     _pow3,
 )
@@ -47,12 +53,6 @@ class CrossingInterval:
     sign: int  # +1 entered at the lower/left boundary line, -1 otherwise
     full: bool = True
 
-    def contains_param(self, t: Fraction) -> bool:
-        t = _mod1(t)
-        if t < self.start:
-            t += 1
-        return self.start <= t <= self.end
-
 
 @dataclass(frozen=True)
 class Letter:
@@ -67,24 +67,6 @@ class Letter:
     @property
     def text(self) -> str:
         return self.corridor.id_text + ("+" if self.sign > 0 else "-")
-
-
-def _least_rotation(seq: Sequence) -> int:
-    if not seq:
-        return 0
-    best = 0
-    for r in range(1, len(seq)):
-        for a, b in zip(_rotated(seq, r), _rotated(seq, best)):
-            if a == b:
-                continue
-            if a < b:
-                best = r
-            break
-    return best
-
-
-def _rotated(seq: Sequence, r: int):
-    return list(seq[r:]) + list(seq[:r])
 
 
 @dataclass(frozen=True)
@@ -108,17 +90,6 @@ class CyclicWord:
     def commute(self, a: CorridorId, b: CorridorId) -> bool:
         return frozenset((a, b)) in self.commutes
 
-    def canonical_rotation(self) -> int:
-        keys = [(k[0][0], k[0][1], k[0][2], k[0][3], k[1]) for k in self.generator_keys()]
-        return _least_rotation(keys)
-
-    def cyclically_equal(self, other: "CyclicWord") -> bool:
-        if self.level != other.level or len(self) != len(other):
-            return False
-        a = _rotated(self.generator_keys(), self.canonical_rotation())
-        b = _rotated(other.generator_keys(), other.canonical_rotation())
-        return a == b
-
     @property
     def text(self) -> str:
         return " ".join(l.text for l in self.letters)
@@ -131,11 +102,12 @@ def crossing_intervals(
 
     The loop must already be valid through level i; vertices off grid
     lines make every line crossing transversal and isolated.  Raises
-    DegeneratePosition if an edge lies on a strip line.
+    DegeneratePosition if an edge lies on a strip line.  Only the strips
+    the loop crosses have their corridors built.
     """
     seq.check_level(i)
     n = _pow3(i)
-    corr = corridors(seq, i)
+    strip = _hole_index(seq).strip
     by_orientation: dict[str, list[CrossingInterval]] = {"H": [], "V": []}
     for orientation, axis in (("H", 1), ("V", 0)):
         # Per stratum, the crossings of its two lines as (param, which
@@ -166,7 +138,7 @@ def crossing_intervals(
                     continue
                 end = t1 if t1 > t0 else t1 + 1
                 pm = loop.point_at(_mod1((t0 + end) / 2))
-                home = _corridor_at(corr, orientation, m, pm[along])
+                home = _corridor_at(strip(orientation, i, m), pm[along])
                 if home is None:
                     raise AssertionError(
                         f"in-strip point {pm} outside every corridor extent"
@@ -186,32 +158,49 @@ def crossing_intervals(
     )
 
 
+def _relation(cs: Iterable[Corridor]) -> frozenset[frozenset]:
+    """Unordered pairs among the given same-level corridors whose inner regions meet.
+
+    Only an H and a V corridor can intersect; the strips of a single
+    orientation are disjoint.  All comparisons run in scale-i integer
+    units.  V corridors are bucketed by stratum with their extents in
+    order; each H corridor bisects for the strata inside its x-range, and
+    in each of those for the one corridor that can hold its row, so the
+    cost is O(L log L + pairs) for L corridors.
+    """
+    hs = []
+    by_stratum: dict[int, list[tuple[int, int, CorridorId]]] = {}
+    for c in cs:
+        e0, e1 = c.extent_units()
+        if c.orientation == "H":
+            hs.append((2 * c.stratum - 1, e0, e1, c.id))
+        else:
+            by_stratum.setdefault(c.stratum, []).append((e0, e1, c.id))
+    for vs in by_stratum.values():
+        vs.sort()
+    strata = sorted(by_stratum)
+    pairs = set()
+    for row, he0, he1, hid in hs:
+        # V strata k with 2k-1 < he1 and he0 < 2k; in each, the V corridor
+        # with ve0 <= row < ve1.  Extents start even and rows are odd, so
+        # no ve0 equals row and (row,) splits the stratum there.
+        for k in strata[bisect_right(strata, he0 // 2) : bisect_right(strata, he1 // 2)]:
+            vs = by_stratum[k]
+            j = bisect_right(vs, (row,))
+            if j and vs[j - 1][1] > row:
+                pairs.add(frozenset((hid, vs[j - 1][2])))
+    return frozenset(pairs)
+
+
 @lru_cache(maxsize=None)
 def crossing_relation(seq: DefiningSequence, i: int) -> frozenset[frozenset]:
     """Unordered pairs of level-i corridors whose inner regions meet.
 
-    Only an H and a V corridor can intersect; the strips of a single
-    orientation are disjoint.  All comparisons run in scale-i integer
-    units, with V corridors indexed by stratum so each H corridor only
-    meets candidates inside its own x-range.
+    This is the whole level's relation; encode_word never builds it, and
+    relates only the corridors its word crosses.
     """
     seq.check_level(i)
-    pairs = set()
-    by_stratum: dict[int, list] = {}
-    for c in corridors(seq, i):
-        if c.orientation == "V":
-            by_stratum.setdefault(c.stratum, []).append((c, *c.extent_units()))
-    for h in corridors(seq, i):
-        if h.orientation != "H":
-            continue
-        he0, he1 = h.extent_units()
-        hs0 = 2 * h.stratum - 1
-        # V strata with 2k-1 < he1 and he0 < 2k
-        for k in range(he0 // 2 + 1, he1 // 2 + 1):
-            for v, ve0, ve1 in by_stratum.get(k, ()):
-                if ve1 > hs0 and ve0 < hs0 + 1:
-                    pairs.add(frozenset((h.id, v.id)))
-    return frozenset(pairs)
+    return _relation(corridors(seq, i))
 
 
 def encode_word(loop: PolyLoop, seq: DefiningSequence, i: int) -> CyclicWord:
@@ -219,16 +208,15 @@ def encode_word(loop: PolyLoop, seq: DefiningSequence, i: int) -> CyclicWord:
 
     Letters are ordered by interval start; two letters can share a start
     only across orientations (a corner-adjacent crossing), where the
-    relation makes them commute and the H letter is written first.
+    relation makes them commute and the H letter is written first.  Only
+    the crossed strips are built, and the relation is built among the
+    word's distinct corridors.
     """
     ih, iv = crossing_intervals(loop, seq, i)
     letters = [Letter(c.corridor, c.sign, c) for c in ih + iv if c.full]
     # Corridors order by orientation ("H" < "V"), then stratum and extent.
     letters.sort(key=lambda l: (l.interval.start, l.corridor))
-    present = {l.generator for l in letters}
-    relation = frozenset(
-        pair for pair in crossing_relation(seq, i) if pair <= present
-    )
+    relation = _relation({l.corridor for l in letters})
     return CyclicWord(level=i, letters=tuple(letters), commutes=relation)
 
 
@@ -245,18 +233,6 @@ class RefinementCorrespondence:
     fine_word: CyclicWord
     ends: tuple[tuple[int, int], ...]
 
-    def role_of_fine(self, fidx: int) -> Optional[tuple[int, str]]:
-        for j, (f, l) in enumerate(self.ends):
-            if fidx == f:
-                return (j, "first")
-            if fidx == l:
-                return (j, "last")
-        return None
-
-    def free_fine_letters(self) -> tuple[int, ...]:
-        taken = {f for f, _ in self.ends} | {l for _, l in self.ends}
-        return tuple(k for k in range(len(self.fine_word)) if k not in taken)
-
 
 def _substrata(m: int) -> tuple[int, int]:
     # Level-(i+1) strata refining level-i stratum m, lower then upper.
@@ -270,64 +246,59 @@ def refinement_map(coarse: CyclicWord, fine: CyclicWord) -> RefinementCorrespond
     levels.  A full level-i crossing starts with a full crossing of the
     entry-side substratum at the same parameter and ends with one of the
     exit-side substratum at the same parameter; every check failure
-    raises RefinementViolation with the offending letter.
+    raises RefinementViolation with the offending letter.  Fine letters
+    are indexed by their start and end parameters and parents grouped by
+    strip, so the cost is linear in the letters but for the parents that
+    share one strip.
     """
     if fine.level != coarse.level + 1:
         raise ValueError(
             f"word levels {coarse.level} and {fine.level} are not consecutive"
         )
+    # The first fine letter of each (orientation, stratum, sign) at each
+    # start, and at each end parameter reduced mod 1.
+    by_start: dict[tuple, int] = {}
+    by_end: dict[tuple, int] = {}
+    for k, fl in enumerate(fine.letters):
+        key = (fl.corridor.orientation, fl.corridor.stratum, fl.sign)
+        by_start.setdefault((*key, fl.interval.start), k)
+        by_end.setdefault((*key, _mod1(fl.interval.end)), k)
     ends = []
     for j, parent in enumerate(coarse.letters):
-        m = parent.corridor.stratum
+        o, m, sign = parent.corridor.orientation, parent.corridor.stratum, parent.sign
         lo_sub, hi_sub = _substrata(m)
-        first_sub = lo_sub if parent.sign > 0 else hi_sub
-        last_sub = hi_sub if parent.sign > 0 else lo_sub
-        first = _find_sub(fine, parent, first_sub, parent.interval.start, "start")
-        last = _find_sub(fine, parent, last_sub, _mod1(parent.interval.end), "end")
+        first_sub = lo_sub if sign > 0 else hi_sub
+        last_sub = hi_sub if sign > 0 else lo_sub
+        first = by_start.get((o, first_sub, sign, parent.interval.start))
+        last = by_end.get((o, last_sub, sign, _mod1(parent.interval.end)))
         if first is None or last is None:
             raise RefinementViolation(
                 f"letter {j} ({parent.text}) lacks a "
                 f"{'first' if first is None else 'last'} sub-letter"
-            )
-        if first == last:
-            raise RefinementViolation(
-                f"letter {j} ({parent.text}) has coinciding boundary sub-letters"
             )
         _check_sub_extent(parent, fine.letters[first], j)
         _check_sub_extent(parent, fine.letters[last], j)
         ends.append((first, last))
     # No stranded sub-letters: a fine letter of a refining substratum
     # whose interval meets a parent's open interval must be that
-    # parent's first or last.
+    # parent's first or last.  Fine stratum s refines stratum (s+1)//3
+    # unless s = 1 mod 3.
+    parents: dict[tuple[str, int], list[int]] = {}
+    for j, parent in enumerate(coarse.letters):
+        parents.setdefault((parent.corridor.orientation, parent.corridor.stratum), []).append(j)
     taken = {f for f, _ in ends} | {l for _, l in ends}
     for k, fl in enumerate(fine.letters):
-        if k in taken or fl.corridor.orientation not in ("H", "V"):
+        s = fl.corridor.stratum
+        if k in taken or s % 3 == 1:
             continue
-        for j, parent in enumerate(coarse.letters):
-            if fl.corridor.orientation != parent.corridor.orientation:
-                continue
-            if fl.corridor.stratum not in _substrata(parent.corridor.stratum):
-                continue
+        for j in parents.get((fl.corridor.orientation, (s + 1) // 3), ()):
+            parent = coarse.letters[j]
             if _open_intervals_meet(fl.interval, parent.interval):
                 raise RefinementViolation(
                     f"fine letter {k} ({fl.text}) sits strictly inside "
                     f"parent letter {j} ({parent.text})"
                 )
     return RefinementCorrespondence(coarse, fine, tuple(ends))
-
-
-def _find_sub(
-    fine: CyclicWord, parent: Letter, stratum: int, param: Fraction, end: str
-) -> Optional[int]:
-    for k, fl in enumerate(fine.letters):
-        if fl.corridor.orientation != parent.corridor.orientation:
-            continue
-        if fl.corridor.stratum != stratum or fl.sign != parent.sign:
-            continue
-        t = fl.interval.start if end == "start" else _mod1(fl.interval.end)
-        if t == param:
-            return k
-    return None
 
 
 def _check_sub_extent(parent: Letter, sub: Letter, j: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -20,14 +21,20 @@ from carpetloop import (
     CrossingInterval,
     CyclicWord,
     DefiningSequence,
+    FreeWord,
+    GridSquare,
     Letter,
+    RefinementCorrespondence,
     TraceWord,
+    corridor_by_id,
     corridors,
     eligible_squares,
     punctures,
     realize_word,
 )
-from carpetloop.errors import DegeneratePosition, Unroutable
+from carpetloop.errors import DegeneratePosition, RefinementViolation, Unroutable
+from carpetloop.serialize import FormatError, parse_frac
+from carpetloop.words import _relation
 
 
 @pytest.fixture(scope="session")
@@ -726,3 +733,243 @@ def scan_ray_crossings(loop, seq, i):
             events.append((j, Fraction(cp, cp - cq), pi, 1 if cq > cp else -1))
     events.sort(key=lambda e: (e[0], e[1]))
     return events
+
+
+# ---------------------------------------------------------------------------
+# Whole-level oracles for the word-local relation and encoding: every H
+# corridor of the level paired with every V corridor it meets, and the
+# word's pairs filtered out of that
+
+
+def scan_crossing_relation(seq, i):
+    """Unordered pairs of level-i corridors whose inner regions meet."""
+    seq.check_level(i)
+    pairs = set()
+    by_stratum = {}
+    for c in corridors(seq, i):
+        if c.orientation == "V":
+            by_stratum.setdefault(c.stratum, []).append((c, *c.extent_units()))
+    for h in corridors(seq, i):
+        if h.orientation != "H":
+            continue
+        he0, he1 = h.extent_units()
+        hs0 = 2 * h.stratum - 1
+        # V strata with 2k-1 < he1 and he0 < 2k
+        for k in range(he0 // 2 + 1, he1 // 2 + 1):
+            for v, ve0, ve1 in by_stratum.get(k, ()):
+                if ve1 > hs0 and ve0 < hs0 + 1:
+                    pairs.add(frozenset((h.id, v.id)))
+    return frozenset(pairs)
+
+
+def scan_encode_word(loop, seq, i, relation=None):
+    """The level-i word from the strip scan and the whole-level relation."""
+    ih, iv = scan_crossing_intervals(loop, seq, i)
+    letters = [Letter(c.corridor, c.sign, c) for c in ih + iv if c.full]
+    letters.sort(key=lambda l: (l.interval.start, l.corridor))
+    present = {l.generator for l in letters}
+    if relation is None:
+        relation = scan_crossing_relation(seq, i)
+    return CyclicWord(i, tuple(letters), frozenset(p for p in relation if p <= present))
+
+
+# ---------------------------------------------------------------------------
+# Refinement oracle: every parent letter scans the whole fine word, and
+# every fine letter scans every parent
+
+
+def _mod1(t):
+    return t - (t.numerator // t.denominator)
+
+
+def _substrata(m):
+    return (3 * m - 1, 3 * m)
+
+
+def _scan_sub(fine, parent, stratum, param, end):
+    for k, fl in enumerate(fine.letters):
+        if fl.corridor.orientation != parent.corridor.orientation:
+            continue
+        if fl.corridor.stratum != stratum or fl.sign != parent.sign:
+            continue
+        t = fl.interval.start if end == "start" else _mod1(fl.interval.end)
+        if t == param:
+            return k
+    return None
+
+
+def _scan_sub_extent(parent, sub, j):
+    pe, se = parent.corridor.extent, sub.corridor.extent
+    if not (pe[0] <= se[0] and se[1] <= pe[1]):
+        raise RefinementViolation(
+            f"sub-letter {sub.text} extends outside parent {j} ({parent.text})"
+        )
+
+
+def _scan_open_meet(a, b):
+    for shift in (-1, 0, 1):
+        if a.start + shift < b.end and b.start < a.end + shift:
+            return True
+    return False
+
+
+def scan_refinement_map(coarse, fine):
+    """refinement_map by the O(L_coarse * L_fine) scans it replaced."""
+    if fine.level != coarse.level + 1:
+        raise ValueError(
+            f"word levels {coarse.level} and {fine.level} are not consecutive"
+        )
+    ends = []
+    for j, parent in enumerate(coarse.letters):
+        lo_sub, hi_sub = _substrata(parent.corridor.stratum)
+        first_sub = lo_sub if parent.sign > 0 else hi_sub
+        last_sub = hi_sub if parent.sign > 0 else lo_sub
+        first = _scan_sub(fine, parent, first_sub, parent.interval.start, "start")
+        last = _scan_sub(fine, parent, last_sub, _mod1(parent.interval.end), "end")
+        if first is None or last is None:
+            raise RefinementViolation(
+                f"letter {j} ({parent.text}) lacks a "
+                f"{'first' if first is None else 'last'} sub-letter"
+            )
+        if first == last:
+            raise RefinementViolation(
+                f"letter {j} ({parent.text}) has coinciding boundary sub-letters"
+            )
+        _scan_sub_extent(parent, fine.letters[first], j)
+        _scan_sub_extent(parent, fine.letters[last], j)
+        ends.append((first, last))
+    taken = {f for f, _ in ends} | {l for _, l in ends}
+    for k, fl in enumerate(fine.letters):
+        if k in taken or fl.corridor.orientation not in ("H", "V"):
+            continue
+        for j, parent in enumerate(coarse.letters):
+            if fl.corridor.orientation != parent.corridor.orientation:
+                continue
+            if fl.corridor.stratum not in _substrata(parent.corridor.stratum):
+                continue
+            if _scan_open_meet(fl.interval, parent.interval):
+                raise RefinementViolation(
+                    f"fine letter {k} ({fl.text}) sits strictly inside "
+                    f"parent letter {j} ({parent.text})"
+                )
+    return RefinementCorrespondence(coarse, fine, tuple(ends))
+
+
+def role_of_fine(corr, fidx):
+    """(parent index, "first" | "last") of a fine letter, or None if free."""
+    for j, (f, l) in enumerate(corr.ends):
+        if fidx == f:
+            return (j, "first")
+        if fidx == l:
+            return (j, "last")
+    return None
+
+
+def free_fine_letters(corr):
+    taken = {f for f, _ in corr.ends} | {l for _, l in corr.ends}
+    return tuple(k for k in range(len(corr.fine_word)) if k not in taken)
+
+
+# ---------------------------------------------------------------------------
+# Word comparison and parsing helpers
+
+
+def contains_param(interval, t):
+    """Does the crossing interval hold parameter t, taken mod 1?"""
+    t = _mod1(t)
+    if t < interval.start:
+        t += 1
+    return interval.start <= t <= interval.end
+
+
+def _rotated(seq, r):
+    return list(seq[r:]) + list(seq[:r])
+
+
+def _least_rotation(seq):
+    best = 0
+    for r in range(1, len(seq)):
+        for a, b in zip(_rotated(seq, r), _rotated(seq, best)):
+            if a == b:
+                continue
+            if a < b:
+                best = r
+            break
+    return best
+
+
+def canonical_rotation(word):
+    keys = [(k[0][0], k[0][1], k[0][2], k[0][3], k[1]) for k in word.generator_keys()]
+    return _least_rotation(keys)
+
+
+def cyclically_equal(a, b):
+    """Same level and the same (generator, sign) sequence up to rotation."""
+    if a.level != b.level or len(a) != len(b):
+        return False
+    return _rotated(a.generator_keys(), canonical_rotation(a)) == _rotated(
+        b.generator_keys(), canonical_rotation(b)
+    )
+
+
+_LETTER_RE = re.compile(r"^([HV]):(\d+):(\d+):(-?\d+/\d+)([+-])$")
+
+
+def parse_word(text, seq, level=None):
+    """Rebuild a word from letter tokens like "H:2:1:0/1+".
+
+    Crossing positions are not part of the text, so letters get evenly
+    spaced synthetic intervals; algebraic operations and realization do
+    not depend on them.  The relation is built among the parsed letters'
+    corridors.
+    """
+    tokens = text.split()
+    letters = []
+    n = max(1, len(tokens))
+    lv = level
+    for j, tok in enumerate(tokens):
+        m = _LETTER_RE.match(tok)
+        if not m:
+            raise FormatError(f"bad letter token {tok!r}")
+        orient, li, stratum, ext, sgn = m.groups()
+        li = int(li)
+        if lv is None:
+            lv = li
+        if li != lv:
+            raise FormatError(f"letter {tok!r} is not at level {lv}")
+        try:
+            corr = corridor_by_id(seq, (orient, li, int(stratum), parse_frac(ext)))
+        except KeyError:
+            raise FormatError(f"no corridor {tok[:-1]!r} in this space") from None
+        sign = 1 if sgn == "+" else -1
+        start = Fraction(j, n)
+        interval = CrossingInterval(start, start + Fraction(1, 2 * n), corr, sign)
+        letters.append(Letter(corr, sign, interval))
+    if lv is None:
+        raise FormatError("empty word needs an explicit level")
+    return CyclicWord(lv, tuple(letters), _relation({l.corridor for l in letters}))
+
+
+_GEN_RE = re.compile(r"^g\[(\d+),(\d+),(\d+)\](?:\^(-?\d+))?$")
+
+
+def parse_free_word(text, seq=None):
+    """Rebuild a free word from generator tokens like "g[1,1,1]^-2"."""
+    letters = []
+    for tok in text.split():
+        m = _GEN_RE.match(tok)
+        if not m:
+            raise FormatError(f"bad generator token {tok!r}")
+        lv, k, mm, e = m.groups()
+        try:
+            sq = GridSquare(int(lv), int(k), int(mm))
+        except ValueError as err:
+            raise FormatError(str(err)) from err
+        exp = int(e) if e else 1
+        if seq is not None and sq not in seq.removed:
+            raise FormatError(f"{tok!r} is not a removed square of this space")
+        if exp == 0:
+            continue
+        step = 1 if exp > 0 else -1
+        letters.extend((sq, step) for _ in range(abs(exp)))
+    return FreeWord(tuple(letters))

@@ -27,8 +27,6 @@ from carpetloop.serialize import (
     loop_hash,
     loop_to_json,
     parse_frac,
-    parse_free_word,
-    parse_word,
     scheme_to_json,
     sha256_hex,
     space_from_json,
@@ -37,7 +35,13 @@ from carpetloop.serialize import (
     word_to_text,
 )
 
-from conftest import closed_walk_word, realized_loop, word_from_letters
+from conftest import (
+    closed_walk_word,
+    parse_free_word,
+    parse_word,
+    realized_loop,
+    word_from_letters,
+)
 
 HSETTINGS = dict(derandomize=True, deadline=None, max_examples=80)
 

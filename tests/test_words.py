@@ -1,5 +1,6 @@
 """Crossing intervals, word encoding, refinement, and realization."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -7,29 +8,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carpetloop import (
+    CrossingInterval,
     CyclicWord,
     DefiningSequence,
+    Letter,
     PolyLoop,
     RefinementViolation,
+    TrivialUpTo,
     Unroutable,
     central_ring,
     corridors,
     crossing_intervals,
     crossing_relation,
+    decide,
     encode_word,
+    grid,
     realize_word,
     refinement_map,
     subdivided_ring,
     validate_loop,
+    words,
 )
 from carpetloop.errors import DegeneratePosition
 
 from conftest import (
     closed_walk_word,
+    contains_param,
+    cyclically_equal,
+    free_fine_letters,
     out_and_back_word,
     random_explicit_space,
     realized_loop,
+    role_of_fine,
     scan_crossing_intervals,
+    scan_crossing_relation,
+    scan_encode_word,
+    scan_refinement_map,
     word_from_letters,
 )
 
@@ -73,7 +87,7 @@ class TestCrossingIntervals:
         wraps = [iv for iv in hs if iv.end > 1]
         for iv in wraps:
             assert 0 <= iv.start < 1
-            assert iv.contains_param(F(0))
+            assert contains_param(iv, F(0))
 
     def test_partial_crossing_not_full(self, fc1):
         # dip into the strip from below and come back out
@@ -203,6 +217,114 @@ class TestCrossingWalk:
             assert got[0] and got[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _walk_space(kind, depth):
+    """The space and loop families TestCrossingWalk draws for (kind, depth)."""
+    rng = random.Random(80 + depth)
+    if kind == "full":
+        seq = DefiningSequence.full_carpet(depth)
+    else:
+        seq = random_explicit_space(depth, rng)
+    return seq, _walk_loops(seq, rng)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RefinementViolation as e:
+        return str(e)
+
+
+def _refinement_breaches(coarse, fine, seq, rng):
+    """Fine words that break refinement in each way refinement_map reports."""
+    out = []
+    letters = list(fine.letters)
+    if letters:
+        k = rng.randrange(len(letters))
+        out.append(letters[:k] + letters[k + 1 :])  # a letter lost
+        l = letters[k]
+        out.append(letters[:k] + [Letter(l.corridor, -l.sign, l.interval)] + letters[k + 1 :])
+        out.append(letters[1:] + letters[:1])  # rotated: every index moves
+    others = corridors(seq, fine.level)
+    for parent in coarse.letters[:2]:
+        # A stray copy of a letter of the entry substratum, strictly inside
+        # the parent's interval, and a first sub-letter moved to a corridor
+        # outside the parent's extent.
+        mid = (parent.interval.start + parent.interval.end) / 2
+        s = 3 * parent.corridor.stratum - (1 if parent.sign > 0 else 0)
+        subs = [c for c in others if c.orientation == parent.corridor.orientation and c.stratum == s]
+        iv = CrossingInterval(mid, mid + F(1, 10**6), subs[0], parent.sign)
+        k = rng.randrange(len(letters) + 1)
+        out.append(letters[:k] + [Letter(subs[0], parent.sign, iv)] + letters[k:])
+        outside = [c for c in subs if c.extent[1] < parent.corridor.extent[0]
+                   or c.extent[0] > parent.corridor.extent[1]]
+        for k, l in enumerate(letters):
+            if outside and l.corridor.stratum == s and l.interval.start == parent.interval.start:
+                iv = CrossingInterval(l.interval.start, l.interval.end, outside[0], l.sign)
+                moved = Letter(outside[0], l.sign, iv)
+                out.append(letters[:k] + [moved] + letters[k + 1 :])
+                break
+    return [CyclicWord(fine.level, tuple(ls), fine.commutes) for ls in out]
+
+
+class TestWordLocal:
+    """Words from the crossed strips against the whole-level oracles."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["full", "explicit"])
+    def test_words_match_whole_level(self, kind, depth):
+        seq, loops = _walk_space(kind, depth)
+        pairs = 0
+        for i in range(1, depth + 1):
+            whole = scan_crossing_relation(seq, i)
+            assert crossing_relation(seq, i) == whole
+            for loop in loops:
+                word = encode_word(loop, seq, i)
+                present = {l.generator for l in word.letters}
+                assert word.commutes == frozenset(p for p in whole if p <= present)
+                assert word == scan_encode_word(loop, seq, i, whole), (i, loop)
+                pairs += len(word.commutes)
+        assert pairs or kind == "full"
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["full", "explicit"])
+    def test_refinement_matches_scan(self, kind, depth):
+        seq, loops = _walk_space(kind, depth)
+        rng = random.Random(depth)
+        breaches = {"lacks": 0, "extends outside": 0, "strictly inside": 0}
+        for loop in loops:
+            ws = [encode_word(loop, seq, i) for i in range(1, depth + 1)]
+            for coarse, fine in zip(ws, ws[1:]):
+                got = refinement_map(coarse, fine)
+                assert got == scan_refinement_map(coarse, fine)
+                if fine.level > 4:
+                    continue  # the scan is quadratic; level-5 words are long
+                for broken in _refinement_breaches(coarse, fine, seq, rng):
+                    got = _outcome(refinement_map, coarse, broken)
+                    assert got == _outcome(scan_refinement_map, coarse, broken)
+                    for name in breaches:
+                        breaches[name] += isinstance(got, str) and name in got
+        assert all(breaches.values()), breaches
+
+    def test_no_whole_level_build(self):
+        # A space no other test builds, so a whole-level build would miss.
+        seq = DefiningSequence.explicit(4, [(1, 1, 1), (2, 1, 4), (3, 1, 13), (4, 1, 30)])
+        band = (  # an L-shaped band along the bottom and right sides
+            (F(1, 20), F(1, 20)), (F(19, 20), F(1, 20)), (F(19, 20), F(19, 20)),
+            (F(9, 10), F(19, 20)), (F(9, 10), F(1, 10)), (F(1, 20), F(1, 10)),
+        )
+        loop = PolyLoop(band)
+        misses = lambda: (
+            grid._corridors_cached.cache_info().misses,
+            words.crossing_relation.cache_info().misses,
+        )
+        before = misses()
+        verdict = decide(loop, seq)
+        assert isinstance(verdict, TrivialUpTo) and verdict.conclusive
+        assert [len(encode_word(loop, seq, i)) for i in range(1, 5)] == [4, 16, 44, 144]
+        assert misses() == before
+
+
 class TestEncode:
     def test_central_ring_frozen(self, fc1):
         w = encode_word(central_ring(fc1), fc1, 1)
@@ -273,9 +395,9 @@ class TestRefinement:
             assert len(firsts) == len(corr.ends)
             assert len(lasts) == len(corr.ends)
             for j, (f, l) in enumerate(corr.ends):
-                assert corr.role_of_fine(f) == (j, "first")
-                assert corr.role_of_fine(l) == (j, "last")
-            free = corr.free_fine_letters()
+                assert role_of_fine(corr, f) == (j, "first")
+                assert role_of_fine(corr, l) == (j, "last")
+            free = free_fine_letters(corr)
             assert set(free).isdisjoint(firsts | lasts)
             assert len(free) + len(firsts) + len(lasts) == len(corr.fine_word)
             done += 1
@@ -307,7 +429,7 @@ class TestRealize:
             if loop is None:
                 continue
             again = encode_word(loop, fc3, 2)
-            assert again.cyclically_equal(word), (word.text, again.text)
+            assert cyclically_equal(again, word), (word.text, again.text)
             done += 1
 
     def test_empty_word_triangle(self, fc3):
