@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DegeneratePosition
-from .grid import DefiningSequence, GridSquare, PolyLoop, Point
+from .grid import DefiningSequence, GridSquare, PolyLoop, Point, per_space
 
 HoleKey = tuple[int, int, int]
 
@@ -37,7 +36,7 @@ class Puncture:
     ray: tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+@per_space
 def _puncture_table(
     seq: DefiningSequence, i: int
 ) -> tuple[tuple[Puncture, ...], list[int], list[int]]:
@@ -46,7 +45,8 @@ def _puncture_table(
     At scale 2*3^i the center of the level-s square (k, m) is the integer
     point (cx, cy) = ((4k-1)*3^(i-s), (4m-1)*3^(i-s)), and its key is
     dx*cy - dy*cx = dx*cy + cx.  As 0 < cx < 2*3^i < dx, the key alone
-    gives the center back: (cy, cx) = divmod(key, dx).
+    gives the center back: (cy, cx) = divmod(key, dx).  One table per
+    level is kept in the space's memo.
     """
     seq.check_level(i)
     dx, dy = ray = (3 ** (seq.depth + 1), -1)

@@ -10,9 +10,16 @@ The level-s candidate (k, m) is the scale-s cell (2k-1, 2m-1).  Each
 space indexes its removed squares once, by key and by line; whether a
 cell or point is kept, which square covers it and which squares cut a
 strip are read from that index along the cell's ancestors, one per scale.
-The index also holds each strip's corridors, built when a strip is first
-asked for, so reading a loop's words builds only the strips it crosses;
-the whole level's corridors are the concatenation of its strips.
+Each strip's corridors are built when the strip is first asked for, so
+reading a loop's words builds only the strips it crosses; the whole
+level's corridors are the concatenation of its strips.
+
+Every table derived from a space (the hole index, each strip, and in
+other modules each level's punctures, the whole-level relation and the
+space's hash) is built by a function decorated with `per_space`, which
+keeps it in the space's own `_derived` memo: built on first use, found
+by identity, and freed with the space.  Equality and hashing of a space
+leave the memo out.
 """
 
 from __future__ import annotations
@@ -20,13 +27,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import LevelOutOfRange
 
 Rational = Fraction
 Point = tuple[Fraction, Fraction]
+T = TypeVar("T")
 
 FULL_CARPET = "full_carpet"
 EXPLICIT = "explicit"
@@ -103,30 +111,41 @@ def _eligible_at(i: int) -> frozenset[GridSquare]:
     )
 
 
+def per_space(build: Callable[..., T]) -> Callable[..., T]:
+    """Memoize build(seq, *args) in the space's own memo.
+
+    The value is kept in seq._derived under (build, *args), so it is
+    built on first use, found by identity (an equal but distinct space
+    builds its own) and freed with the space.
+    """
+
+    @wraps(build)
+    def derived(seq: DefiningSequence, *args) -> T:
+        key = (build, *args)
+        try:
+            return seq._derived[key]
+        except KeyError:
+            pass
+        value = seq._derived[key] = build(seq, *args)
+        return value
+
+    return derived
+
+
 @dataclass(frozen=True)
 class _HoleIndex:
     """One space's removed squares by key, by level and by line.
 
     lines[(orientation, level, stratum)] holds the ascending extent index
     of each square on that line: k on an "H" line, m on a "V" line.
-    strips[(orientation, level, stratum)] caches that strip's corridors.
     """
 
     squares: dict[tuple[int, int, int], GridSquare]
     by_level: tuple[tuple[GridSquare, ...], ...]  # level s at s-1, in key order
     lines: dict[tuple[str, int, int], list[int]]
-    strips: dict[tuple[str, int, int], tuple[Corridor, ...]] = field(default_factory=dict)
-
-    def strip(self, orientation: str, i: int, m: int) -> tuple[Corridor, ...]:
-        """The corridors of level-i strip m of one orientation, in extent order."""
-        key = (orientation, i, m)
-        cs = self.strips.get(key)
-        if cs is None:
-            cs = self.strips[key] = _build_strip(self.lines, orientation, i, m)
-        return cs
 
 
-@lru_cache(maxsize=None)
+@per_space
 def _hole_index(seq: DefiningSequence) -> _HoleIndex:
     squares = sorted(seq.removed, key=GridSquare.key)
     lines: dict[tuple[str, int, int], list[int]] = {}
@@ -148,12 +167,16 @@ class DefiningSequence:
     """A depth-limited choice of removed squares, one batch per level.
 
     Lookups read `_hole_index` alike for every pattern; the pattern only
-    names the space's JSON form.
+    names the space's JSON form.  Tables derived from the space live in
+    `_derived`, filled by `per_space` functions; it is left out of
+    equality, hashing and repr, so two equal spaces compare equal
+    whatever each has built.
     """
 
     depth: int
     pattern: str
     removed: frozenset[GridSquare]
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def explicit(depth: int, removed: Iterable[GridSquare | tuple[int, int, int]]) -> "DefiningSequence":
@@ -225,13 +248,6 @@ def eligible_squares(seq: DefiningSequence, i: int) -> frozenset[GridSquare]:
     return _eligible_at(i)
 
 
-def level_space_contains(seq: DefiningSequence, i: int, p: Point) -> bool:
-    seq.check_level(i)
-    if not (0 <= p[0] <= 1 and 0 <= p[1] <= 1):
-        raise ValueError(f"point {p} outside the unit square")
-    return not seq.point_in_removed_interior(p, i)
-
-
 @dataclass(frozen=True, order=True)
 class Corridor:
     """One closed component of the level-i strip complement.
@@ -264,14 +280,6 @@ class Corridor:
         assert n % b == 0 and n % d == 0
         return (a * (n // b), c * (n // d))
 
-    def inner_contains(self, p: Point) -> bool:
-        """Extent-closed, transversally-open membership."""
-        lo, hi = self.transverse
-        e0, e1 = self.extent
-        if self.orientation == "H":
-            return e0 <= p[0] <= e1 and lo < p[1] < hi
-        return lo < p[0] < hi and e0 <= p[1] <= e1
-
     @property
     def id(self) -> tuple[str, int, int, Fraction]:
         return (self.orientation, self.level, self.stratum, self.extent[0])
@@ -282,9 +290,10 @@ class Corridor:
         return f"{self.orientation}:{self.level}:{self.stratum}:{e0.numerator}/{e0.denominator}"
 
 
-def _build_strip(
-    lines: dict[tuple[str, int, int], list[int]], orientation: str, i: int, m: int
-) -> tuple[Corridor, ...]:
+@per_space
+def _strip(seq: DefiningSequence, orientation: str, i: int, m: int) -> tuple[Corridor, ...]:
+    """The corridors of level-i strip m of one orientation, in extent order."""
+    lines = _hole_index(seq).lines
     n = _pow3(i)
     # Blocks: removed squares whose transverse side covers the whole
     # strip, i.e. the squares on the line of each odd scale-s ancestor r
@@ -309,21 +318,15 @@ def _build_strip(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _corridors_cached(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
-    # Strips in (orientation, stratum) order, so the concatenation is in
-    # the sorted order of Corridor.
-    strip = _hole_index(seq).strip
-    half = (_pow3(i) - 1) // 2
-    return tuple(
-        c for o in ("H", "V") for m in range(1, half + 1) for c in strip(o, i, m)
-    )
-
-
 def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
     """Every corridor of level i, in sorted order."""
     seq.check_level(i)
-    return _corridors_cached(seq, i)
+    # Strips in (orientation, stratum) order, so the concatenation is in
+    # the sorted order of Corridor.
+    half = (_pow3(i) - 1) // 2
+    return tuple(
+        c for o in ("H", "V") for m in range(1, half + 1) for c in _strip(seq, o, i, m)
+    )
 
 
 def _corridor_at(strip: tuple[Corridor, ...], x: Fraction) -> Optional[Corridor]:
@@ -339,7 +342,7 @@ def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction])
     seq.check_level(level)
     c = None
     if orientation in ("H", "V") and 1 <= stratum <= (_pow3(level) - 1) // 2:
-        c = _corridor_at(_hole_index(seq).strip(orientation, level, stratum), e0)
+        c = _corridor_at(_strip(seq, orientation, level, stratum), e0)
     if c is None or c.extent[0] != e0:
         raise KeyError(f"no corridor with id {ident}")
     return c

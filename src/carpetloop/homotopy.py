@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
@@ -160,40 +161,6 @@ def _float_orient(ox: float, oy: float, ax: float, ay: float, bx: float, by: flo
     if d < -_ORIENT_MARGIN:
         return -1
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Cell classification
-
-
-@dataclass(frozen=True)
-class CellType:
-    level: int
-    cell: tuple[int, int]
-    kind: int  # number of corridors the cell lies in: 0, 1, or 2
-
-    @property
-    def rect(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        n = _pow3(self.level)
-        a, b = self.cell
-        return (Fraction(a, n), Fraction(a + 1, n), Fraction(b, n), Fraction(b + 1, n))
-
-
-def classify_squares(seq: DefiningSequence, i: int) -> tuple[CellType, ...]:
-    """Kept scale-i cells with their corridor count.
-
-    A kept cell in an odd row lies in exactly one horizontal corridor,
-    and symmetrically for columns, so the count is the coordinate parity
-    sum: 0 free, 1 corridor interior, 2 junction.
-    """
-    seq.check_level(i)
-    n = _pow3(i)
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if seq.cell_in_space(a, b, i):
-                out.append(CellType(i, (a, b), (a % 2) + (b % 2)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +468,36 @@ class LevelHomotopy:
     def target_kinds(self) -> tuple[str, ...]:
         return tuple(f.target.kind for f in self.fills)
 
+    @cached_property
+    def _triangles(self) -> list:
+        """The map's non-degenerate (domain, values) triangles, in fill order."""
+        return [
+            (dom, val)
+            for fill in self.fills
+            for dom, val in fill.triangles
+            if _cross(dom[0], dom[1], dom[2]) != 0
+        ]
+
+    @cached_property
+    def _face_buckets(self) -> dict[tuple[int, int], list]:
+        """Bucketed triangle lookup for repeated pointwise evaluation.
+
+        Buckets are keyed by a coarse float grid over the disk; each
+        triangle is filed under every bucket its padded float box touches,
+        so a lookup never misses the true containing face and every
+        candidate is re-tested exactly.  Insertion follows fill order,
+        keeping the same first-match tie break as a linear scan for points
+        on shared edges.
+        """
+        buckets: dict[tuple[int, int], list] = {}
+        for tri in self._triangles:
+            xs = [float(q[0]) for q in tri[0]]
+            ys = [float(q[1]) for q in tri[0]]
+            for bx in range(_bucket_of(min(xs) - _BOX_PAD), _bucket_of(max(xs) + _BOX_PAD) + 1):
+                for by in range(_bucket_of(min(ys) - _BOX_PAD), _bucket_of(max(ys) + _BOX_PAD) + 1):
+                    buckets.setdefault((bx, by), []).append(tri)
+        return buckets
+
 
 def _chord_constants(
     cell: Cellulation, alpha: dict[int, Point]
@@ -631,48 +628,6 @@ def _minkowski(h: LevelHomotopy, z: Point) -> Fraction:
 _EVAL_GRID = 16
 
 
-def _triangles(h: LevelHomotopy) -> list:
-    """The map's non-degenerate (domain, values) triangles, in fill order.
-
-    Built once per map and cached on the instance.
-    """
-    cached = getattr(h, "_triangles", None)
-    if cached is not None:
-        return cached
-    tris = [
-        (dom, val)
-        for fill in h.fills
-        for dom, val in fill.triangles
-        if _cross(dom[0], dom[1], dom[2]) != 0
-    ]
-    object.__setattr__(h, "_triangles", tris)
-    return tris
-
-
-def _face_buckets(h: LevelHomotopy) -> dict[tuple[int, int], list]:
-    """Bucketed triangle lookup for repeated pointwise evaluation.
-
-    Built once per map and cached on the instance.  Buckets are keyed by a
-    coarse float grid over the disk; each triangle is filed under every
-    bucket its padded float box touches, so a lookup never misses the true
-    containing face and every candidate is re-tested exactly.  Insertion
-    follows fill order, keeping the same first-match tie break as a linear
-    scan for points on shared edges.
-    """
-    cached = getattr(h, "_face_buckets", None)
-    if cached is not None:
-        return cached
-    buckets: dict[tuple[int, int], list] = {}
-    for tri in _triangles(h):
-        xs = [float(q[0]) for q in tri[0]]
-        ys = [float(q[1]) for q in tri[0]]
-        for bx in range(_bucket_of(min(xs) - _BOX_PAD), _bucket_of(max(xs) + _BOX_PAD) + 1):
-            for by in range(_bucket_of(min(ys) - _BOX_PAD), _bucket_of(max(ys) + _BOX_PAD) + 1):
-                buckets.setdefault((bx, by), []).append(tri)
-    object.__setattr__(h, "_face_buckets", buckets)
-    return buckets
-
-
 def _bucket_of(t: float) -> int:
     b = int((t + 1.0) * _EVAL_GRID / 2.0)
     return min(_EVAL_GRID - 1, max(0, b))
@@ -680,7 +635,7 @@ def _bucket_of(t: float) -> int:
 
 def _eval_in_polygon(h: LevelHomotopy, p: Point) -> Point:
     key = (_bucket_of(float(p[0])), _bucket_of(float(p[1])))
-    for dom, val in _face_buckets(h).get(key, ()):
+    for dom, val in h._face_buckets.get(key, ()):
         if _point_in_triangle(dom, p):
             return _affine_in_triangle(dom, val, p)
     raise AssertionError(f"point {p} not covered by any face")
@@ -849,7 +804,7 @@ def _overlay_index(
     """
     values: dict[int, Point] = {}
     edges: dict[tuple[int, int], None] = {}
-    for dom, val in _triangles(h):
+    for dom, val in h._triangles:
         js = []
         for p, v in zip(dom, val):
             k = _point_key(p)

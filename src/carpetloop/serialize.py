@@ -10,12 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Iterable
 
 from .errors import CarpetLoopError
-from .grid import DefiningSequence, EXPLICIT, FULL_CARPET, PolyLoop
-from .freegroup import FreeWord
+from .grid import DefiningSequence, EXPLICIT, FULL_CARPET, PolyLoop, per_space
 from .words import CyclicWord
 
 
@@ -77,7 +75,7 @@ def space_from_json(data: dict) -> DefiningSequence:
         raise FormatError(str(e)) from e
 
 
-@lru_cache(maxsize=None)
+@per_space
 def space_hash(seq: DefiningSequence) -> str:
     return sha256_hex(canonical_json(space_to_json(seq)))
 
@@ -103,22 +101,6 @@ def loop_from_json(data: dict) -> PolyLoop:
 
 def loop_hash(loop: PolyLoop) -> str:
     return sha256_hex(canonical_json(loop_to_json(loop)))
-
-
-# ---------------------------------------------------------------------------
-# Corridor words
-
-
-def word_to_text(word: CyclicWord) -> str:
-    return word.text
-
-
-# ---------------------------------------------------------------------------
-# Free-group words
-
-
-def free_word_to_text(word: FreeWord) -> str:
-    return word.text
 
 
 # ---------------------------------------------------------------------------

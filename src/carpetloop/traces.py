@@ -267,29 +267,52 @@ def _iter_matchings(
     used_now = set(used)
     chosen: list[tuple[int, int]] = list(base)
 
-    def rec() -> Iterator[CancellationDiagram]:
+    def node() -> Optional[int]:
+        """Charge one search node; the first free position, if any."""
         if budget is not None:
             budget.charge()
-        p = next((r for r in range(n) if r not in used_now), None)
+        return next((r for r in range(n) if r not in used_now), None)
+
+    # Depth-first with an explicit stack, one frame [p, q] per open
+    # choice: position p is paired with q, or q == p before its first
+    # partner.  Partners are tried in ascending order.
+    stack: list[list[int]] = []
+    p = node()
+    while True:
         if p is None:
             d = CancellationDiagram(frozenset(chosen))
             if diagram_valid(word, d):
                 yield d
+        else:
+            stack.append([p, p])
+        # Move the deepest frame that has one to its next partner.
+        while stack:
+            frame = stack[-1]
+            p, q = frame
+            if q != p:
+                chosen.pop()
+                used_now.difference_update((p, q))
+            g, e = gid[p], sgn[p]
+            q = next(
+                (
+                    r
+                    for r in range(q + 1, n)
+                    if r not in used_now
+                    and gid[r] == g
+                    and sgn[r] == -e
+                    and compatible(chosen, (p, r))
+                ),
+                None,
+            )
+            if q is not None:
+                break
+            stack.pop()
+        else:
             return
-        g, e = gid[p], sgn[p]
-        for q in range(p + 1, n):
-            if q in used_now or gid[q] != g or sgn[q] != -e:
-                continue
-            cand = (p, q)
-            if not compatible(chosen, cand):
-                continue
-            used_now.update(cand)
-            chosen.append(cand)
-            yield from rec()
-            chosen.pop()
-            used_now.difference_update(cand)
-
-    yield from rec()
+        frame[1] = q
+        used_now.update((p, q))
+        chosen.append((p, q))
+        p = node()
 
 
 def enumerate_diagrams(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import DegeneratePosition, RefinementViolation, Unroutable
@@ -25,10 +24,11 @@ from .grid import (
     PolyLoop,
     Point,
     corridors,
+    per_space,
     _corridor_at,
-    _hole_index,
     _lines_between,
     _pow3,
+    _strip,
 )
 
 CorridorId = tuple[str, int, int, Fraction]
@@ -107,7 +107,6 @@ def crossing_intervals(
     """
     seq.check_level(i)
     n = _pow3(i)
-    strip = _hole_index(seq).strip
     by_orientation: dict[str, list[CrossingInterval]] = {"H": [], "V": []}
     for orientation, axis in (("H", 1), ("V", 0)):
         # Per stratum, the crossings of its two lines as (param, which
@@ -138,7 +137,7 @@ def crossing_intervals(
                     continue
                 end = t1 if t1 > t0 else t1 + 1
                 pm = loop.point_at(_mod1((t0 + end) / 2))
-                home = _corridor_at(strip(orientation, i, m), pm[along])
+                home = _corridor_at(_strip(seq, orientation, i, m), pm[along])
                 if home is None:
                     raise AssertionError(
                         f"in-strip point {pm} outside every corridor extent"
@@ -192,12 +191,13 @@ def _relation(cs: Iterable[Corridor]) -> frozenset[frozenset]:
     return frozenset(pairs)
 
 
-@lru_cache(maxsize=None)
+@per_space
 def crossing_relation(seq: DefiningSequence, i: int) -> frozenset[frozenset]:
     """Unordered pairs of level-i corridors whose inner regions meet.
 
-    This is the whole level's relation; encode_word never builds it, and
-    relates only the corridors its word crosses.
+    This is the whole level's relation, kept in the space's memo;
+    encode_word never builds it, and relates only the corridors its word
+    crosses.
     """
     seq.check_level(i)
     return _relation(corridors(seq, i))

@@ -11,12 +11,14 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from carpetloop import (
+    CancellationDiagram,
     Corridor,
     CrossingInterval,
     CyclicWord,
@@ -28,12 +30,19 @@ from carpetloop import (
     TraceWord,
     corridor_by_id,
     corridors,
+    diagram_valid,
     eligible_squares,
     punctures,
     realize_word,
 )
-from carpetloop.errors import DegeneratePosition, RefinementViolation, Unroutable
+from carpetloop.errors import (
+    DegeneratePosition,
+    MalformedDiagram,
+    RefinementViolation,
+    Unroutable,
+)
 from carpetloop.serialize import FormatError, parse_frac
+from carpetloop.traces import _crosses
 from carpetloop.words import _relation
 
 
@@ -211,6 +220,70 @@ def stack_trivial(word: TraceWord) -> bool:
     return all(not s for s in stacks.values()) and all(
         not s for s in edges.values()
     )
+
+
+def recursive_iter_matchings(word, preassigned, budget):
+    """The diagram search as it was before it kept an explicit stack.
+
+    One generator frame per chosen pair, so a word of more than about
+    2,000 letters overflows the interpreter's recursion limit.  Same
+    prunes, same order and the same budget charges as
+    `traces._iter_matchings`.
+    """
+    n = len(word)
+    _, gid, nbrs = word._graph
+    sgn = [e for _, e in word.letters]
+    base = [tuple(sorted(p)) for p in preassigned]
+    used = set()
+    for p, q in base:
+        if p in used or q in used:
+            raise MalformedDiagram(f"preassigned pairs reuse position {p},{q}")
+        used.update((p, q))
+
+    sums = [0] * len(nbrs)
+    for g, e in zip(gid, sgn):
+        sums[g] += e
+    if any(sums):
+        return
+
+    def compatible(pairs, cand):
+        near = nbrs[gid[cand[0]]]
+        for other in pairs:
+            if gid[other[0]] not in near and _crosses(cand, other):
+                return False
+        p, q = cand
+        balance = {}
+        for r in range(p + 1, q):
+            if r not in used_now and gid[r] not in near:
+                balance[gid[r]] = balance.get(gid[r], 0) + sgn[r]
+        return not any(balance.values())
+
+    used_now = set(used)
+    chosen = list(base)
+
+    def rec():
+        if budget is not None:
+            budget.charge()
+        p = next((r for r in range(n) if r not in used_now), None)
+        if p is None:
+            d = CancellationDiagram(frozenset(chosen))
+            if diagram_valid(word, d):
+                yield d
+            return
+        g, e = gid[p], sgn[p]
+        for q in range(p + 1, n):
+            if q in used_now or gid[q] != g or sgn[q] != -e:
+                continue
+            cand = (p, q)
+            if not compatible(chosen, cand):
+                continue
+            used_now.update(cand)
+            chosen.append(cand)
+            yield from rec()
+            chosen.pop()
+            used_now.difference_update(cand)
+
+    yield from rec()
 
 
 def make_trace(tokens, commuting=()) -> TraceWord:
@@ -507,6 +580,57 @@ def random_explicit_space(depth, rng: random.Random, keep=0.5) -> DefiningSequen
         if rng.random() < keep
     ]
     return DefiningSequence.explicit(depth, removed)
+
+
+# ---------------------------------------------------------------------------
+# Point and cell membership helpers that only tests use
+
+
+def level_space_contains(seq, i, p) -> bool:
+    """Is the point p of the unit square in the level-i space?"""
+    seq.check_level(i)
+    if not (0 <= p[0] <= 1 and 0 <= p[1] <= 1):
+        raise ValueError(f"point {p} outside the unit square")
+    return not seq.point_in_removed_interior(p, i)
+
+
+def inner_contains(c: Corridor, p) -> bool:
+    """Extent-closed, transversally-open membership in a corridor."""
+    lo, hi = c.transverse
+    e0, e1 = c.extent
+    if c.orientation == "H":
+        return e0 <= p[0] <= e1 and lo < p[1] < hi
+    return lo < p[0] < hi and e0 <= p[1] <= e1
+
+
+@dataclass(frozen=True)
+class CellType:
+    level: int
+    cell: tuple[int, int]
+    kind: int  # number of corridors the cell lies in: 0, 1, or 2
+
+    @property
+    def rect(self):
+        n = 3**self.level
+        a, b = self.cell
+        return (Fraction(a, n), Fraction(a + 1, n), Fraction(b, n), Fraction(b + 1, n))
+
+
+def classify_squares(seq, i) -> tuple[CellType, ...]:
+    """Kept scale-i cells with their corridor count.
+
+    A kept cell in an odd row lies in exactly one horizontal corridor,
+    and symmetrically for columns, so the count is the coordinate parity
+    sum: 0 free, 1 corridor interior, 2 junction.
+    """
+    seq.check_level(i)
+    n = 3**i
+    return tuple(
+        CellType(i, (a, b), (a % 2) + (b % 2))
+        for a in range(n)
+        for b in range(n)
+        if seq.cell_in_space(a, b, i)
+    )
 
 
 # ---------------------------------------------------------------------------

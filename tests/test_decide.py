@@ -1,9 +1,13 @@
 """Verdicts and replayable certificates."""
 
+import gc
+import json
 import os
+import pathlib
 import random
 import sys
 import tempfile
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -24,9 +28,14 @@ from carpetloop import (
     make_certificate,
     puncture_word,
 )
-from carpetloop.serialize import loop_hash, space_hash
+from carpetloop.freegroup import _puncture_table
+from carpetloop.grid import _hole_index
+from carpetloop.serialize import loop_from_json, loop_hash, space_hash
+from carpetloop.words import crossing_relation
 
-from conftest import out_and_back_word, realized_loop
+from conftest import out_and_back_word, random_explicit_space, realized_loop
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 BAD_DIAGONAL = PolyLoop(((F(1, 5), F(1, 5)), (F(4, 5), F(1, 5)), (F(4, 5), F(4, 5))))
 ON_RAY = PolyLoop(((F(3, 4), F(17, 36)), (F(5, 6), F(17, 36)), (F(3, 4), F(5, 12))))
@@ -107,6 +116,53 @@ class TestVerdicts:
         v = decide(loop, fc2, caps=SearchCaps(work=1))
         assert isinstance(v, Inconclusive)
         assert v.kind == "caps"
+
+    def test_long_level_words_decide(self):
+        # conftest's out_and_back_word(fc5, 1, random.Random(0), max_len=2),
+        # V:1:1:2/3- H:1:1:0/1- H:1:1:0/1+ V:1:1:2/3+, repeated 8 times and
+        # realized (48 vertices).  A diagram search that recursed once per
+        # pair would overflow the interpreter's stack on the 1,296 pairs of
+        # its level-5 word.
+        seq = DefiningSequence.full_carpet(5)
+        loop = loop_from_json(json.loads((DATA / "out_and_back_x8_fc5.json").read_text()))
+        v = decide(loop, seq)
+        assert isinstance(v, TrivialUpTo) and v.conclusive
+        assert [len(w) for w in v.words] == [32, 96, 288, 864, 2592]
+
+
+class TestSpaceMemo:
+    def test_space_is_freed(self):
+        rng = random.Random(5)
+        seq = random_explicit_space(3, rng)
+        loop = trivial_loop(seq, 2, rng)
+        ref = weakref.ref(seq)
+        verdict = decide(loop, seq)
+        _, cert = make_certificate(loop, seq)
+        assert isinstance(verdict, TrivialUpTo) and cert is not None
+        assert seq._derived
+        del seq
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("kind", ["full", "explicit"])
+    def test_equal_spaces_build_their_own(self, kind):
+        rng = random.Random(11)
+        a = DefiningSequence.full_carpet(3) if kind == "full" else random_explicit_space(3, rng)
+        b = DefiningSequence(a.depth, a.pattern, frozenset(list(a.removed)))
+        assert a == b and hash(a) == hash(b) and a is not b
+        loop = trivial_loop(a, 3, rng)
+        verdict_a = decide(loop, a)
+        assert not b._derived
+        verdict_b = decide(loop, b)
+        assert verdict_a == verdict_b
+        for i in range(1, 4):
+            assert encode_word(loop, a, i) == encode_word(loop, b, i)
+            assert puncture_word(loop, a, i) == puncture_word(loop, b, i)
+            assert _puncture_table(a, i) == _puncture_table(b, i)
+            assert crossing_relation(a, i) == crossing_relation(b, i)
+        assert space_hash(a) == space_hash(b)
+        assert set(a._derived) == set(b._derived)
+        assert _hole_index(a) == _hole_index(b) and _hole_index(a) is not _hole_index(b)
 
 
 class TestCertificates:

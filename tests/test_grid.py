@@ -14,9 +14,10 @@ from carpetloop import (
     corridor_by_id,
     corridors,
     eligible_squares,
-    level_space_contains,
     validate_loop,
 )
+
+from conftest import inner_contains, level_space_contains
 
 pytestmark = []
 
@@ -189,8 +190,8 @@ class TestCorridors:
         c = [c for c in corridors(fc1, 1) if c.orientation == "H"][0]
         x0, x1 = c.extent
         y0, y1 = c.transverse
-        assert c.inner_contains((x0, (y0 + y1) / 2))
-        assert not c.inner_contains(((x0 + x1) / 2, y0))
+        assert inner_contains(c, (x0, (y0 + y1) / 2))
+        assert not inner_contains(c, ((x0 + x1) / 2, y0))
 
 
 class TestLoops:

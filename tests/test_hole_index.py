@@ -24,7 +24,7 @@ from carpetloop import (
     validate_loop,
 )
 from carpetloop.decide import max_hole_level
-from carpetloop.grid import _hole_index, _segment_cells
+from carpetloop.grid import _segment_cells, _strip
 
 from conftest import (
     contained_1d_eligible,
@@ -110,7 +110,6 @@ def test_holes_by_level_match_scan(kind, depth):
 @pytest.mark.parametrize("kind,depth", SPACES)
 def test_corridors_match_scan(kind, depth):
     seq = _space(kind, depth)
-    index = _hole_index(seq)
     for i in range(1, depth + 1):
         expect = scan_corridors(seq, i)
         strips = {}
@@ -119,7 +118,7 @@ def test_corridors_match_scan(kind, depth):
         # Strips one at a time, last first, as a loop's crossings ask for them.
         for o in ("V", "H"):
             for m in range((3**i - 1) // 2, 0, -1):
-                assert index.strip(o, i, m) == tuple(strips[o, m]), (o, i, m)
+                assert _strip(seq, o, i, m) == tuple(strips[o, m]), (o, i, m)
         assert corridors(seq, i) == expect, i
 
 

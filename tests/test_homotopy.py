@@ -17,7 +17,6 @@ from carpetloop import (
     build_homotopy,
     circle_param,
     circle_point,
-    classify_squares,
     convergence_gap,
     corridors,
     decide,
@@ -43,6 +42,7 @@ from carpetloop.grid import _segment_cells
 from carpetloop.serialize import loop_from_json
 
 from conftest import (
+    classify_squares,
     closed_walk_word,
     gap_oracle,
     out_and_back_word,

@@ -22,7 +22,6 @@ from carpetloop.serialize import (
     canonical_json,
     diagram_to_json,
     frac_text,
-    free_word_to_text,
     loop_from_json,
     loop_hash,
     loop_to_json,
@@ -32,7 +31,6 @@ from carpetloop.serialize import (
     space_from_json,
     space_hash,
     space_to_json,
-    word_to_text,
 )
 
 from conftest import (
@@ -175,7 +173,7 @@ class TestLoops:
 
 class TestCorridorWords:
     def _round_trip(self, seq, word):
-        back = parse_word(word_to_text(word), seq)
+        back = parse_word(word.text, seq)
         assert back.level == word.level
         assert back.generator_keys() == word.generator_keys()
         assert back.commutes == word.commutes
@@ -195,9 +193,9 @@ class TestCorridorWords:
         h = next(c for c in corridors(fc1, 1) if c.orientation == "H")
         v = next(c for c in corridors(fc1, 1) if c.orientation == "V")
         word = word_from_letters(fc1, 1, [(h, 1), (v, 1), (h, -1), (v, -1)])
-        back = parse_word(word_to_text(word), fc1)
+        back = parse_word(word.text, fc1)
         assert back.text == word.text
-        assert word_to_text(parse_word(word.text, fc1)) == word.text
+        assert parse_word(word.text, fc1).text == word.text
 
     def test_relation_restricted_to_present_letters(self):
         seq = DefiningSequence.explicit(1, [])
@@ -239,7 +237,7 @@ class TestFreeWords:
         sq1 = GridSquare(1, 1, 1)
         sq2 = GridSquare(2, 1, 1)
         word = FreeWord(((sq1, 1), (sq1, 1), (sq2, -1)))
-        text = free_word_to_text(word)
+        text = word.text
         assert text == "g[1,1,1]^2 g[2,1,1]^-1"
         assert parse_free_word(text, fc2) == word
 
@@ -250,7 +248,7 @@ class TestFreeWords:
     def test_realized_word_round_trips(self, fc2):
         loop = central_ring(fc2)
         word = puncture_word(loop, fc2, 2)
-        assert parse_free_word(free_word_to_text(word), fc2) == word
+        assert parse_free_word(word.text, fc2) == word
 
     def test_bad_generator_token(self):
         for bad in ["g[1,1]", "g(1,1,1)", "h[1,1,1]", "g[1,1,1]^"]:

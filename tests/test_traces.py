@@ -28,6 +28,7 @@ from carpetloop.errors import (
     NoInducedDiagram,
     NotFoundError,
 )
+from carpetloop.traces import Budget, _iter_matchings
 from carpetloop.words import RefinementCorrespondence
 from carpetloop import corridors
 
@@ -38,6 +39,7 @@ from conftest import (
     out_and_back_word,
     random_explicit_space,
     realized_loop,
+    recursive_iter_matchings,
     stack_trivial,
     subset_dp_trivial,
     word_from_letters,
@@ -304,6 +306,42 @@ class TestDiagrams:
                 assert first_diagram(word) == (every[0] if every else None), word.text
                 found += bool(every)
         assert found > 300
+
+    def test_search_matches_recursive_oracle(self, fc4):
+        # The same diagrams in the same order, and the same budget charges,
+        # with and without a preassigned pair: AC2-style random words, each
+        # also followed by its inverse, then realized depth-4 walk words.
+        rng = random.Random(20240815)
+        words = []
+        for _ in range(300):
+            alphabet = rng.sample("abcd", rng.randint(1, 4))
+            letters = tuple(
+                (rng.choice(alphabet), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 10))
+            )
+            commutes = frozenset(
+                frozenset(p) for p in itertools.combinations("abcd", 2) if rng.random() < 0.5
+            )
+            back = tuple((g, -e) for g, e in reversed(letters))
+            words += [TraceWord(letters, commutes), TraceWord(letters + back, commutes)]
+        for level in (2, 3, 4):
+            for _ in range(3):
+                loop = realized_loop(fc4, out_and_back_word(fc4, level, rng, max_len=6))
+                if loop is not None:
+                    words += [
+                        TraceWord.from_cyclic(encode_word(loop, fc4, i)) for i in range(1, 5)
+                    ]
+        found = 0
+        for w in words:
+            first = next(recursive_iter_matchings(w, (), None), None)
+            for pre in ((), first.sorted_pairs[:1] if first else ()):
+                got, want = Budget(10**9), Budget(10**9)
+                new = list(itertools.islice(_iter_matchings(w, pre, got), 50))
+                old = list(itertools.islice(recursive_iter_matchings(w, pre, want), 50))
+                assert new == old, w.text
+                assert got.spent == want.spent, w.text
+                found += len(new)
+        assert found > 1000
 
     def test_preassigned_restricts(self):
         w = make_trace(["D+", "D-", "D+", "D-"])

@@ -1,6 +1,7 @@
 """Crossing intervals, word encoding, refinement, and realization."""
 
 import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -307,22 +308,30 @@ class TestWordLocal:
         assert all(breaches.values()), breaches
 
     def test_no_whole_level_build(self):
-        # A space no other test builds, so a whole-level build would miss.
+        # A fresh space, so its memo holds only what this loop's words built.
         seq = DefiningSequence.explicit(4, [(1, 1, 1), (2, 1, 4), (3, 1, 13), (4, 1, 30)])
         band = (  # an L-shaped band along the bottom and right sides
             (F(1, 20), F(1, 20)), (F(19, 20), F(1, 20)), (F(19, 20), F(19, 20)),
             (F(9, 10), F(19, 20)), (F(9, 10), F(1, 10)), (F(1, 20), F(1, 10)),
         )
         loop = PolyLoop(band)
-        misses = lambda: (
-            grid._corridors_cached.cache_info().misses,
-            words.crossing_relation.cache_info().misses,
-        )
-        before = misses()
         verdict = decide(loop, seq)
         assert isinstance(verdict, TrivialUpTo) and verdict.conclusive
         assert [len(encode_word(loop, seq, i)) for i in range(1, 5)] == [4, 16, 44, 144]
-        assert misses() == before
+        # The strips whose lines some edge crosses, at every level.
+        crossed = set()
+        for i in range(1, 5):
+            n = 3**i
+            for p, q, _, _ in loop.edges():
+                for orientation, axis in (("H", 1), ("V", 0)):
+                    lo, hi = sorted((p[axis] * n, q[axis] * n))
+                    for j in range(math.floor(lo) + 1, math.ceil(hi)):
+                        crossed.add((orientation, i, (j + 1) // 2))
+        builds = [key[0] for key in seq._derived]
+        assert words.crossing_relation.__wrapped__ not in builds
+        strips = {key[1:] for key in seq._derived if key[0] is grid._strip.__wrapped__}
+        assert strips == crossed
+        assert len(strips) < sum(3**i - 1 for i in range(1, 5))  # not every strip
 
 
 class TestEncode:
