@@ -32,8 +32,11 @@ HoleKey = tuple[int, int, int]
 @dataclass(frozen=True)
 class Puncture:
     hole: GridSquare
-    center: Point
     ray: tuple[int, int]
+
+    @property
+    def center(self) -> Point:
+        return self.hole.center
 
 
 @per_space
@@ -50,7 +53,7 @@ def _puncture_table(
     """
     seq.check_level(i)
     dx, dy = ray = (3 ** (seq.depth + 1), -1)
-    ps = tuple(Puncture(sq, sq.center, ray) for sq in seq.holes_up_to(i))
+    ps = tuple(Puncture(sq, ray) for sq in seq.holes_up_to(i))
     key = [
         (dx * (4 * p.hole.m - 1) - dy * (4 * p.hole.k - 1)) * 3 ** (i - p.hole.level)
         for p in ps

@@ -1,6 +1,6 @@
 """Square grids, carpet-like complements, corridors, and loop validation.
 
-Coordinates are exact rationals throughout.  A space is the unit square
+Coordinates are exact rationals.  A space is the unit square
 minus the open interiors of a chosen family of grid squares; at level i
 the candidate squares have side 1/3^i and odd/even corner coordinates in
 scale-i units, so the complement decomposes into cells, strips, and the
@@ -13,6 +13,12 @@ strip are read from that index along the cell's ancestors, one per scale.
 Each strip's corridors are built when the strip is first asked for, so
 reading a loop's words builds only the strips it crosses; the whole
 level's corridors are the concatenation of its strips.
+
+The edge walks run in integers: an edge's four coordinates are put over
+one positive common denominator, the scale-n line j of an axis is crossed
+at parameter (j*D - n*p)/(n*(q - p)), and the crossings of the two axes
+merge by cross-multiplication, so validating a loop builds no rational
+per cell or crossing.
 
 Every table derived from a space (the hole index, each strip, and in
 other modules each level's punctures, the whole-level relation and the
@@ -28,11 +34,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import LevelOutOfRange
 
-Rational = Fraction
 Point = tuple[Fraction, Fraction]
 T = TypeVar("T")
 
@@ -291,8 +297,13 @@ class Corridor:
 
 
 @per_space
-def _strip(seq: DefiningSequence, orientation: str, i: int, m: int) -> tuple[Corridor, ...]:
-    """The corridors of level-i strip m of one orientation, in extent order."""
+def _strip_extents(seq: DefiningSequence, orientation: str, i: int, m: int) -> tuple[list[int], list[int]]:
+    """The corridor extents of level-i strip m of one orientation, in scale-i units.
+
+    Returns the starts and the ends, in extent order.  Every start is
+    even and every end odd, and each block between two corridors is at
+    least one unit wide, so the closed extents are pairwise disjoint.
+    """
     lines = _hole_index(seq).lines
     n = _pow3(i)
     # Blocks: removed squares whose transverse side covers the whole
@@ -309,13 +320,26 @@ def _strip(seq: DefiningSequence, orientation: str, i: int, m: int) -> tuple[Cor
     blocks.sort()
     # The corridors are the gaps between blocks, up to the sentinel at n,
     # in extent order.
-    out: list[Corridor] = []
+    starts: list[int] = []
+    ends: list[int] = []
     lo = 0
     for b0, b1 in blocks + [(n, n)]:
         if b0 > lo:
-            out.append(Corridor(orientation, i, m, (Fraction(lo, n), Fraction(b0, n))))
+            starts.append(lo)
+            ends.append(b0)
         lo = max(lo, b1)
-    return tuple(out)
+    return starts, ends
+
+
+@per_space
+def _strip(seq: DefiningSequence, orientation: str, i: int, m: int) -> tuple[Corridor, ...]:
+    """The corridors of level-i strip m of one orientation, in extent order."""
+    n = _pow3(i)
+    starts, ends = _strip_extents(seq, orientation, i, m)
+    return tuple(
+        Corridor(orientation, i, m, (Fraction(e0, n), Fraction(e1, n)))
+        for e0, e1 in zip(starts, ends)
+    )
 
 
 def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
@@ -329,11 +353,18 @@ def corridors(seq: DefiningSequence, i: int) -> tuple[Corridor, ...]:
     )
 
 
-def _corridor_at(strip: tuple[Corridor, ...], x: Fraction) -> Optional[Corridor]:
-    """The corridor of one strip whose extent holds x."""
-    j = bisect_right(strip, x, key=lambda c: c.extent[0])
-    if j and x <= strip[j - 1].extent[1]:
-        return strip[j - 1]
+def _corridor_at(
+    seq: DefiningSequence, orientation: str, i: int, m: int, x: int, exact: bool
+) -> Optional[Corridor]:
+    """The corridor of level-i strip m whose closed extent holds a coordinate.
+
+    The coordinate, in scale-i units, is x when exact and lies strictly
+    between x and x + 1 otherwise.
+    """
+    starts, ends = _strip_extents(seq, orientation, i, m)
+    j = bisect_right(starts, x)
+    if j and (x < ends[j - 1] or (exact and x == ends[j - 1])):
+        return _strip(seq, orientation, i, m)[j - 1]
     return None
 
 
@@ -342,7 +373,9 @@ def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction])
     seq.check_level(level)
     c = None
     if orientation in ("H", "V") and 1 <= stratum <= (_pow3(level) - 1) // 2:
-        c = _corridor_at(_strip(seq, orientation, level, stratum), e0)
+        num, den = e0.as_integer_ratio()
+        x, r = divmod(num * _pow3(level), den)
+        c = _corridor_at(seq, orientation, level, stratum, x, r == 0)
     if c is None or c.extent[0] != e0:
         raise KeyError(f"no corridor with id {ident}")
     return c
@@ -436,32 +469,58 @@ def _line_level(value: Fraction, depth: int) -> Optional[int]:
     return s if s <= depth else None
 
 
-def _lines_between(a: Fraction, b: Fraction, n: int) -> range:
-    """The scale-n lines j with j/n strictly between a and b, in order from a to b."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    j0 = lo.numerator * n // lo.denominator + 1
-    j1 = -(-hi.numerator * n // hi.denominator) - 1
-    return range(j0, j1 + 1) if a <= b else range(j1, j0 - 1, -1)
+def _over_common_denominator(p: Point, q: Point) -> tuple[int, int, int, int, int]:
+    """(D, px, py, qx, qy): segment pq's coordinates over one positive denominator D."""
+    (pxn, pxd), (pyn, pyd) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    (qxn, qxd), (qyn, qyd) = q[0].as_integer_ratio(), q[1].as_integer_ratio()
+    d = lcm(pxd, pyd, qxd, qyd)
+    return d, pxn * (d // pxd), pyn * (d // pyd), qxn * (d // qxd), qyn * (d // qyd)
+
+
+def _axis_walk(a: int, b: int, d: int, n: int) -> tuple[int, int, int, int, int]:
+    """The scale-n lines one coordinate crosses going from a/d to b/d.
+
+    Returns (cell, step, first, count, span): the scale-n cell index at
+    the start, +1 or -1 per line crossed, and the lines strictly between
+    the ends as count crossings at parameters (first + k*d)/(n*span) for
+    k = 0..count-1.  Line j is crossed at (j*d - n*a)/(n*(b - a)).  A
+    start on a line counts in the cell the coordinate moves into, and a
+    coordinate that does not move (count 0) is in the cell above or to
+    the right of a line it is on.
+    """
+    if b > a:
+        cell = a * n // d
+        return cell, 1, (cell + 1) * d - n * a, -(-b * n // d) - 1 - cell, b - a
+    if b < a:
+        cell = -(-a * n // d) - 1
+        return cell, -1, n * a - cell * d, cell - b * n // d, a - b
+    return a * n // d, 0, 0, 0, 1
 
 
 def _segment_cells(p: Point, q: Point, n: int) -> Iterator[tuple[int, int]]:
     """Scale-n cells of the pieces of segment pq, in order along it.
 
     Cuts the segment where it crosses a scale-n line; each piece lies in
-    the cell of its midpoint (for a piece on a line, the cell above or
-    to the right of it).
+    one cell (for a piece on a line, the cell above or to the right of
+    it).  The crossings of the two axes are merged in integers by
+    cross-multiplying their parameters, and each steps its axis's cell
+    index by one; a crossing through a grid vertex steps both at once.
     """
-    cuts = {Fraction(0), Fraction(1)}
-    for axis in (0, 1):
-        a, b = p[axis], q[axis]
-        for j in _lines_between(a, b, n):
-            cuts.add((Fraction(j, n) - a) / (b - a))
-    ts = sorted(cuts)
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        x = p[0] + tm * (q[0] - p[0])
-        y = p[1] + tm * (q[1] - p[1])
-        yield (x.numerator * n // x.denominator, y.numerator * n // y.denominator)
+    d, px, py, qx, qy = _over_common_denominator(p, q)
+    a, sa, na, ra, da = _axis_walk(px, qx, d, n)
+    b, sb, nb, rb, db = _axis_walk(py, qy, d, n)
+    yield a, b
+    while ra or rb:
+        c = na * db - nb * da if ra and rb else (-1 if ra else 1)
+        if c <= 0:
+            a += sa
+            na += d
+            ra -= 1
+        if c >= 0:
+            b += sb
+            nb += d
+            rb -= 1
+        yield a, b
 
 
 def validate_loop(loop: PolyLoop, seq: DefiningSequence, depth: int) -> ValidationReport:

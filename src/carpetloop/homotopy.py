@@ -247,11 +247,16 @@ def build_cellulation(
     # Working chords: (a, b, band, chord_serial); serial preserved through cuts.
     work = [(c.a, c.b, c.band, k) for k, c in enumerate(chords)]
 
-    def split(region: list[int], todo: list[tuple[int, int, int, int]]):
+    # Regions still to cut, each with the chords that lie in it; the
+    # first region popped is the one a recursive cut would visit next,
+    # so faces and crossing nodes come in depth-first order.
+    stack = [(list(range(len(ps))), work)]
+    while stack:
+        region, todo = stack.pop()
         if not todo:
             if len(region) >= 3:
                 faces.append(tuple(region))
-            return
+            continue
         cut = todo[0]
         rest = todo[1:]
         ca, cb = cut[0], cut[1]
@@ -297,12 +302,8 @@ def build_cellulation(
             (todo_a if sv == "A" else todo_b).append(part_v)
         on_cut.sort()
         xs = [xi for _, xi in on_cut]
-        boundary_a = chain_a + xs[::-1]
-        boundary_b = chain_b + xs
-        split(boundary_a, todo_a)
-        split(boundary_b, todo_b)
-
-    split(list(range(len(ps))), work)
+        stack.append((chain_b + xs, todo_b))
+        stack.append((chain_a + xs[::-1], todo_a))
 
     # Band membership: a band is the polygon piece between its two
     # chords; the reference centroid of the four chord endpoints sits

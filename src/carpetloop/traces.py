@@ -10,7 +10,7 @@ never makes another deletable pair undeletable.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -175,33 +175,63 @@ def _check_matching(word: TraceWord, diagram: CancellationDiagram) -> None:
         raise MalformedDiagram(f"matching covers {len(seen)} of {n} positions")
 
 
-def _deletable(word: TraceWord, alive: set[int], p: int, q: int) -> bool:
-    """Can (p, q) cancel now: one side of the chord all commutes with it."""
-    _, gid, nbrs = word._graph
-    near = nbrs[gid[p]]
-    if all(gid[r] in near for r in alive if p < r < q):
-        return True
-    return all(gid[r] in near for r in alive if r < p or r > q)
-
-
 def diagram_valid(word: TraceWord, diagram: CancellationDiagram) -> bool:
-    """Greedy nested elimination; order of deletions does not matter."""
+    """Greedy nested elimination; order of deletions does not matter.
+
+    A pair can cancel now when one side of its chord, the live letters
+    strictly inside it or those outside it, all commute with it.  As in
+    trace_trivial, a Fenwick tree over positions counts the live letters
+    inside, and each generator's live positions, kept in ascending
+    order, are bisected for each commuting neighbour to count the
+    commuting ones, so one check costs O((deg + 1) log n).
+    """
     _check_matching(word, diagram)
-    alive = set(range(len(word)))
-    remaining = list(diagram.sorted_pairs)
+    _, gid, nbrs = word._graph
+    n = len(gid)
+    at: list[list[int]] = [[] for _ in nbrs]  # live positions per generator
+    for r, g in enumerate(gid):
+        at[g].append(r)
+    tree = [0] * (n + 1)  # Fenwick tree over positions 0..n-1, at 1..n
+    for r in range(1, n + 1):
+        tree[r] += 1
+        if r + (r & -r) <= n:
+            tree[r + (r & -r)] += tree[r]
+
+    def before(r: int) -> int:
+        """Live positions below r."""
+        c = 0
+        while r:
+            c += tree[r]
+            r &= r - 1
+        return c
+
+    live = n
+    # Shortest chords first: nested pairs then go in one round.
+    remaining = sorted(diagram.pairs, key=lambda pq: (pq[1] - pq[0], pq))
     while remaining:
-        progress = False
         kept = []
         for p, q in remaining:
-            if _deletable(word, alive, p, q):
-                alive.discard(p)
-                alive.discard(q)
-                progress = True
-            else:
+            g = gid[p]
+            inside = before(q) - before(p + 1)
+            near = inside_near = 0
+            for h in nbrs[g]:
+                mine = at[h]
+                near += len(mine)
+                inside_near += bisect_left(mine, q) - bisect_right(mine, p)
+            if inside != inside_near and live - 2 - inside != near - inside_near:
                 kept.append((p, q))
-        remaining = kept
-        if not progress:
+                continue
+            mine = at[g]
+            del mine[bisect_left(mine, q)]
+            del mine[bisect_left(mine, p)]
+            for r in (p + 1, q + 1):
+                while r <= n:
+                    tree[r] -= 1
+                    r += r & -r
+            live -= 2
+        if len(kept) == len(remaining):
             return False
+        remaining = kept
     return True
 
 

@@ -2,7 +2,13 @@
 
 A loop meets each level-i strip in a cyclic sequence of maximal closed
 parameter intervals; the intervals whose two endpoint lines differ are
-full crossings and become letters.  A word is read from the strips the
+full crossings and become letters.  An interval belongs to the corridor
+whose closed extent holds the along-coordinate of its entry crossing: the
+closed extents of one strip are pairwise disjoint (the blocks between
+them run from odd to even, at least one scale-i unit wide), and a valid
+loop stays in one of them while it is in the strip.  Each edge is walked
+in integers over its common denominator, so the entry coordinate is an
+integer floor and an exactness flag.  A word is read from the strips the
 loop crosses only: each crossing looks up its corridor in its own strip,
 and the commutation relation is built among the word's own corridors, so
 the cost follows the loop's letters rather than the level's holes.
@@ -15,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, RefinementViolation, Unroutable
 from .grid import (
@@ -25,10 +31,10 @@ from .grid import (
     Point,
     corridors,
     per_space,
+    _axis_walk,
     _corridor_at,
-    _lines_between,
+    _over_common_denominator,
     _pow3,
-    _strip,
 )
 
 CorridorId = tuple[str, int, int, Fraction]
@@ -104,57 +110,73 @@ def crossing_intervals(
     lines make every line crossing transversal and isolated.  Raises
     DegeneratePosition if an edge lies on a strip line.  Only the strips
     the loop crosses have their corridors built.
+
+    Each edge is walked in integers over its common denominator; the
+    corridor of an interval is the one whose closed extent holds the
+    along-coordinate of its entry crossing.
     """
     seq.check_level(i)
     n = _pow3(i)
-    by_orientation: dict[str, list[CrossingInterval]] = {"H": [], "V": []}
+    vs = loop.vertices
+    nv = len(vs)
+    edges = [_over_common_denominator(p, q) for p, q in zip(vs, vs[1:] + vs[:1])]
+    walks = []
     for orientation, axis in (("H", 1), ("V", 0)):
-        # Per stratum, the crossings of its two lines as (param, which
-        # line: 0 = lower / 1 = upper, direction: +1 if the coordinate
-        # increases through the line).  Line j is the lower line of
-        # stratum (j+1)//2 when j is odd and its upper line when j is
+        # Per stratum, the crossings of its two lines as (r, param, which
+        # line: 0 = lower / 1 = upper, entry).  Line j is the lower line
+        # of stratum (j+1)//2 when j is odd and its upper line when j is
         # even.  Edges are walked in order and each edge's lines come in
-        # order along it, so every list is sorted by param.
-        events: dict[int, list[tuple[Fraction, int, int]]] = {}
-        for p, q, u0, u1 in loop.edges():
-            a, b = p[axis], q[axis]
-            if a == b:
-                j = a * n
-                if j.denominator == 1 and 0 < j < n:
+        # order along it, so every list is in param order, and so is the
+        # running count r of the crossings.  A crossing into the strip
+        # (the lower line upwards or the upper line downwards) carries
+        # its along-coordinate in scale-i units, as a floor and whether
+        # it is exact; any other crossing carries None.
+        events: dict[int, list[tuple[int, Fraction, int, Optional[tuple[int, bool]]]]] = {}
+        r = 0
+        for e, (d, px, py, qx, qy) in enumerate(edges):
+            a, b, xa, xb = (py, qy, px, qx) if axis else (px, qx, py, qy)
+            cell, step, num, count, span = _axis_walk(a, b, d, n)
+            if not step:
+                if a * n % d == 0 and 0 < a * n // d < n:
                     raise DegeneratePosition(
-                        f"edge at t={u0} lies on the line {'xy'[axis]}={a}"
+                        f"edge at t={Fraction(e, nv)} lies on the line "
+                        f"{'xy'[axis]}={vs[e][axis]}"
                     )
                 continue
-            d = 1 if b > a else -1
-            for j in _lines_between(a, b, n):
-                t = u0 + (u1 - u0) * (Fraction(j, n) - a) / (b - a)
-                events.setdefault((j + 1) // 2, []).append((t, 1 - j % 2, d))
-        along = 1 - axis
+            j = cell + 1 if step > 0 else cell  # the first line crossed
+            for _ in range(count):
+                w = 1 - j % 2
+                entry = None
+                if (w == 0) == (step > 0):
+                    x, rem = divmod(n * xa * span + (xb - xa) * num, d * span)
+                    entry = (x, rem == 0)
+                events.setdefault((j + 1) // 2, []).append(
+                    (r, Fraction(e * n * span + num, nv * n * span), w, entry)
+                )
+                j += step
+                num += d
+                r += 1
+        out: list[Optional[CrossingInterval]] = [None] * r
         for m, evs in events.items():
-            for (t0, w0, d0), (t1, w1, d1) in zip(evs, evs[1:] + evs[:1]):
-                entering = (w0 == 0 and d0 > 0) or (w0 == 1 and d0 < 0)
-                if not entering:
+            last = len(evs) - 1
+            for k, (r0, t0, w0, entry) in enumerate(evs):
+                if entry is None:
                     continue
-                end = t1 if t1 > t0 else t1 + 1
-                pm = loop.point_at(_mod1((t0 + end) / 2))
-                home = _corridor_at(_strip(seq, orientation, i, m), pm[along])
+                _, t1, w1, _ = evs[k + 1] if k < last else evs[0]
+                home = _corridor_at(seq, orientation, i, m, *entry)
                 if home is None:
                     raise AssertionError(
-                        f"in-strip point {pm} outside every corridor extent"
+                        f"entry point of the crossing at t={t0} outside every corridor extent"
                     )
-                by_orientation[orientation].append(
-                    CrossingInterval(
-                        start=t0,
-                        end=end,
-                        corridor=home,
-                        sign=1 if w0 == 0 else -1,
-                        full=w1 != w0,
-                    )
+                out[r0] = CrossingInterval(
+                    start=t0,
+                    end=t1 if k < last else t1 + 1,
+                    corridor=home,
+                    sign=1 if w0 == 0 else -1,
+                    full=w1 != w0,
                 )
-    return (
-        tuple(sorted(by_orientation["H"], key=lambda c: c.start)),
-        tuple(sorted(by_orientation["V"], key=lambda c: c.start)),
-    )
+        walks.append(tuple(c for c in out if c is not None))
+    return walks[0], walks[1]
 
 
 def _relation(cs: Iterable[Corridor]) -> frozenset[frozenset]:

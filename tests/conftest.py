@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Optional
 
 import pytest
 
@@ -41,8 +42,21 @@ from carpetloop.errors import (
     RefinementViolation,
     Unroutable,
 )
+from carpetloop.homotopy import (
+    QUARTERS,
+    Band,
+    BandChord,
+    Cellulation,
+    Face,
+    Node,
+    _centroid,
+    _cross,
+    _lerp,
+    _segments_cross,
+    circle_point,
+)
 from carpetloop.serialize import FormatError, parse_frac
-from carpetloop.traces import _crosses
+from carpetloop.traces import _check_matching, _crosses
 from carpetloop.words import _relation
 
 
@@ -284,6 +298,40 @@ def recursive_iter_matchings(word, preassigned, budget):
             used_now.difference_update(cand)
 
     yield from rec()
+
+
+def _deletable(word: TraceWord, alive: set[int], p: int, q: int) -> bool:
+    """Can (p, q) cancel now: one side of the chord all commutes with it."""
+    _, gid, nbrs = word._graph
+    near = nbrs[gid[p]]
+    if all(gid[r] in near for r in alive if p < r < q):
+        return True
+    return all(gid[r] in near for r in alive if r < p or r > q)
+
+
+def scan_diagram_valid(word: TraceWord, diagram: CancellationDiagram) -> bool:
+    """Greedy nested elimination; order of deletions does not matter.
+
+    The check as it was before it counted blockers: every live position
+    is rescanned for every remaining pair in every round.
+    """
+    _check_matching(word, diagram)
+    alive = set(range(len(word)))
+    remaining = list(diagram.sorted_pairs)
+    while remaining:
+        progress = False
+        kept = []
+        for p, q in remaining:
+            if _deletable(word, alive, p, q):
+                alive.discard(p)
+                alive.discard(q)
+                progress = True
+            else:
+                kept.append((p, q))
+        remaining = kept
+        if not progress:
+            return False
+    return True
 
 
 def make_trace(tokens, commuting=()) -> TraceWord:
@@ -570,6 +618,162 @@ def gap_oracle(h1, h2):
     return max_sq, witness
 
 
+# ---------------------------------------------------------------------------
+# Cellulation oracle: the chord cutting as it was before it kept an explicit
+# stack
+
+
+def recursive_build_cellulation(
+    word: CyclicWord,
+    diagram: CancellationDiagram,
+    params: Optional[Iterable[Fraction]] = None,
+) -> Cellulation:
+    """`homotopy.build_cellulation` as it was when it recursed once per cut.
+
+    Cuts the inscribed polygon along the diagram's chords; its nesting
+    depth grows with the chord nesting of the diagram.
+
+    Chords of one pair connect the end of each letter to the start of
+    the other.  Crossing chords must belong to commuting corridors; the
+    crossing points become interior nodes and every face is convex.
+    """
+    tw = TraceWord.from_cyclic(word)
+    if not diagram_valid(tw, diagram):
+        raise MalformedDiagram("diagram is not valid for the word")
+    marks = set(QUARTERS)
+    for l in word.letters:
+        marks.add(l.interval.start)
+        marks.add(_mod1(l.interval.end))
+    if params is not None:
+        marks.update(_mod1(t) for t in params)
+    ps = tuple(sorted(marks))
+    nodes: list[Node] = [Node(circle_point(t), t) for t in ps]
+    index_of = {t: j for j, t in enumerate(ps)}
+
+    bands: list[Band] = []
+    chords: list[BandChord] = []
+    for bi, (p, q) in enumerate(diagram.sorted_pairs):
+        lp, lq = word.letters[p], word.letters[q]
+        bands.append(Band(bi, (p, q), lp.corridor, lp.sign))
+        chords.append(
+            BandChord(bi, 0, index_of[_mod1(lp.interval.end)], index_of[lq.interval.start])
+        )
+        chords.append(
+            BandChord(bi, 1, index_of[_mod1(lq.interval.end)], index_of[lp.interval.start])
+        )
+
+    crossings: list[tuple[int, int, int]] = []
+    faces: list[tuple[int, ...]] = []
+
+    # Working chords: (a, b, band, chord_serial); serial preserved through cuts.
+    work = [(c.a, c.b, c.band, k) for k, c in enumerate(chords)]
+
+    def split(region: list[int], todo: list[tuple[int, int, int, int]]):
+        if not todo:
+            if len(region) >= 3:
+                faces.append(tuple(region))
+            return
+        cut = todo[0]
+        rest = todo[1:]
+        ca, cb = cut[0], cut[1]
+        ia, ib = region.index(ca), region.index(cb)
+        if ia > ib:
+            ia, ib = ib, ia
+            ca, cb = cb, ca
+        chain_a = region[ia : ib + 1]
+        chain_b = region[ib:] + region[: ia + 1]
+        interior_a = set(chain_a[1:-1])
+        interior_b = set(chain_b[1:-1])
+        pa, pb = nodes[ca].point, nodes[cb].point
+        on_cut: list[tuple[Fraction, int]] = []
+        todo_a: list = []
+        todo_b: list = []
+        for d in rest:
+            du, dv = d[0], d[1]
+            if {du, dv} == {ca, cb}:
+                continue  # geometrically identical; the cut already separates
+            su = "A" if du in interior_a else ("B" if du in interior_b else "E")
+            sv = "A" if dv in interior_a else ("B" if dv in interior_b else "E")
+            if su == "E" and sv == "E":
+                raise AssertionError("distinct chord shares both cut endpoints")
+            side = su if su != "E" else sv
+            if "E" in (su, sv) or su == sv:
+                (todo_a if side == "A" else todo_b).append(d)
+                continue
+            st = _segments_cross(pa, pb, nodes[du].point, nodes[dv].point)
+            if st is None:
+                raise AssertionError("straddling chord fails to cross the cut")
+            if not word.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
+                raise MalformedDiagram(
+                    "chords of non-commuting corridors cross; the diagram "
+                    "cannot come from a valid cancellation"
+                )
+            nodes.append(Node(_lerp(pa, pb, st[0]), None))
+            xi = len(nodes) - 1
+            crossings.append((xi, cut[3], d[3]))
+            on_cut.append((st[0], xi))
+            part_u = (du, xi, d[2], d[3])
+            part_v = (xi, dv, d[2], d[3])
+            (todo_a if su == "A" else todo_b).append(part_u)
+            (todo_a if sv == "A" else todo_b).append(part_v)
+        on_cut.sort()
+        xs = [xi for _, xi in on_cut]
+        boundary_a = chain_a + xs[::-1]
+        boundary_b = chain_b + xs
+        split(boundary_a, todo_a)
+        split(boundary_b, todo_b)
+
+    split(list(range(len(ps))), work)
+
+    # Band membership: a band is the polygon piece between its two
+    # chords; the reference centroid of the four chord endpoints sits
+    # strictly inside it.
+    half_planes = []
+    for b in bands:
+        c0, c1 = chords[2 * b.index], chords[2 * b.index + 1]
+        ref = _centroid(
+            [nodes[c0.a].point, nodes[c0.b].point, nodes[c1.a].point, nodes[c1.b].point]
+        )
+        sides = []
+        for c in (c0, c1):
+            s = _cross(nodes[c.a].point, nodes[c.b].point, ref)
+            if s == 0:
+                raise AssertionError("band reference point on its own chord")
+            sides.append((nodes[c.a].point, nodes[c.b].point, s > 0))
+        half_planes.append(sides)
+
+    final_faces = []
+    for fnodes in faces:
+        cen = _centroid([nodes[j].point for j in fnodes])
+        mem = []
+        for b in bands:
+            ok = True
+            for pa, pb, positive in half_planes[b.index]:
+                s = _cross(pa, pb, cen)
+                if s == 0 or (s > 0) != positive:
+                    ok = False
+                    break
+            if ok:
+                mem.append(b.index)
+        if len(mem) > 2:
+            raise AssertionError(f"face inside {len(mem)} bands")
+        if len(mem) == 2:
+            o1 = bands[mem[0]].corridor.orientation
+            o2 = bands[mem[1]].corridor.orientation
+            if o1 == o2:
+                raise AssertionError("face inside two same-orientation bands")
+        final_faces.append(Face(tuple(fnodes), tuple(mem)))
+
+    return Cellulation(
+        params=ps,
+        nodes=tuple(nodes),
+        faces=tuple(final_faces),
+        bands=tuple(bands),
+        chords=tuple(chords),
+        crossings=tuple(crossings),
+    )
+
+
 def random_explicit_space(depth, rng: random.Random, keep=0.5) -> DefiningSequence:
     """Each level's eligible squares, each removed with probability `keep`."""
     full = DefiningSequence.full_carpet(depth)
@@ -764,6 +968,39 @@ def scan_corridors(seq, i):
             for e0, e1 in pieces:
                 out.append(Corridor(orientation, i, m, (Fraction(e0, n), Fraction(e1, n))))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Cell-walk oracle: the Fraction walk that the integer edge walk replaced,
+# cutting at every line crossing and reading each piece's midpoint
+
+
+def _lines_between(a: Fraction, b: Fraction, n: int) -> range:
+    """The scale-n lines j with j/n strictly between a and b, in order from a to b."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    j0 = lo.numerator * n // lo.denominator + 1
+    j1 = -(-hi.numerator * n // hi.denominator) - 1
+    return range(j0, j1 + 1) if a <= b else range(j1, j0 - 1, -1)
+
+
+def fraction_segment_cells(p, q, n):
+    """Scale-n cells of the pieces of segment pq, in order along it.
+
+    Cuts the segment where it crosses a scale-n line; each piece lies in
+    the cell of its midpoint (for a piece on a line, the cell above or
+    to the right of it).
+    """
+    cuts = {Fraction(0), Fraction(1)}
+    for axis in (0, 1):
+        a, b = p[axis], q[axis]
+        for j in _lines_between(a, b, n):
+            cuts.add((Fraction(j, n) - a) / (b - a))
+    ts = sorted(cuts)
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        x = p[0] + tm * (q[0] - p[0])
+        y = p[1] + tm * (q[1] - p[1])
+        yield (x.numerator * n // x.denominator, y.numerator * n // y.denominator)
 
 
 def contained_1d_eligible(i) -> set[tuple[int, int]]:

@@ -17,6 +17,8 @@ from carpetloop import (
     validate_loop,
 )
 
+from carpetloop.grid import _corridor_at
+
 from conftest import inner_contains, level_space_contains
 
 pytestmark = []
@@ -145,6 +147,20 @@ class TestCorridors:
     def test_corridor_by_id_roundtrip(self, fc2):
         for c in corridors(fc2, 2):
             assert corridor_by_id(fc2, c.id) == c
+
+    def test_corridor_lookup_holds_closed_extents(self, fc3):
+        # A coordinate is x when exact and strictly between x and x + 1
+        # otherwise: each end belongs to its corridor, the unit past an
+        # end (inside a block) to none.
+        for c in corridors(fc3, 3):
+            (e0, e1), n = c.extent_units(), 27
+            at = lambda x, exact: _corridor_at(fc3, c.orientation, 3, c.stratum, x, exact)
+            assert at(e0, True) == at(e0, False) == at(e1 - 1, False) == at(e1, True) == c
+            assert at(e1, False) is None
+            assert e0 == 0 or at(e0 - 1, False) is None
+            if e1 < n:
+                with pytest.raises(KeyError):
+                    corridor_by_id(fc3, (*c.id[:3], F(2 * e1 + 1, 2 * n)))
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_extent_parity_invariant(self, level, fc3):

@@ -24,12 +24,13 @@ from carpetloop import (
     validate_loop,
 )
 from carpetloop.decide import max_hole_level
-from carpetloop.grid import _segment_cells, _strip
+from carpetloop.grid import _strip
 
 from conftest import (
     contained_1d_eligible,
     digit_cell_in_space,
     digit_point_in_removed_interior,
+    fraction_segment_cells,
     random_explicit_space,
     scan_cell_in_space,
     scan_corridors,
@@ -126,7 +127,7 @@ def _first_edge_hole(loop, seq, depth):
     """The edge index and square the old validation reported, or None."""
     holes = sorted(seq.removed, key=GridSquare.key)
     for j, (p, q, _, _) in enumerate(loop.edges()):
-        for a, b in _segment_cells(p, q, 3**depth):
+        for a, b in fraction_segment_cells(p, q, 3**depth):
             if not scan_cell_in_space(seq.removed, a, b, depth):
                 return j, scan_covering_hole(holes, a, b, depth)
     return None

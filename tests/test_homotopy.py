@@ -1,6 +1,9 @@
 """Disk fillings: cell classification, cellulations, targets, convergence."""
 
+import json
+import pathlib
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -48,8 +51,11 @@ from conftest import (
     out_and_back_word,
     random_explicit_space,
     realized_loop,
+    recursive_build_cellulation,
     word_from_letters,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # A depth-4 loop whose filling needs a "plus" target: a free face's
 # values wrap around a hole, so no snapped box is hole-free.
@@ -188,6 +194,53 @@ class TestCellulation:
         node, c1, c2 = cell.crossings[0]
         assert cell.nodes[node].param is None
         assert cell.chords[c1].band != cell.chords[c2].band
+
+
+    def test_cuts_match_recursive_oracle(self):
+        # The same faces, crossing nodes and bands as the recursive cut, on
+        # every diagram of realized walk words on random explicit spaces,
+        # where crossing corridors commute and chords cross.
+        rng = random.Random(43)
+        crossings = 0
+        for depth in (1, 2, 3):
+            seq = random_explicit_space(depth, rng, keep=0.3)
+            for _ in range(10):
+                word = closed_walk_word(seq, depth, rng, wander=12)
+                loop = realized_loop(seq, word)
+                if loop is None:
+                    continue
+                for i in range(1, depth + 1):
+                    w = encode_word(loop, seq, i)
+                    params = [loop.vertex_param(j) for j in range(len(loop))]
+                    for d in enumerate_diagrams(TraceWord.from_cyclic(w), cap=10**6)[:6]:
+                        got = build_cellulation(w, d, params=params)
+                        assert got == recursive_build_cellulation(w, d, params=params)
+                        crossings += len(got.crossings)
+        assert crossings > 100
+
+    def test_deep_nesting_needs_no_recursion(self, fc2):
+        # The level-2 word of the loop that walks out and back 8 times (96
+        # letters) is its own inverse read backwards, so pairing k with
+        # n-1-k is a valid diagram whose 96 chords all nest.  The recursive
+        # cut nests one call per chord.
+        loop = loop_from_json(json.loads((DATA / "out_and_back_x8_fc5.json").read_text()))
+        w = encode_word(loop, fc2, 2)
+        n = len(w)
+        assert n == 96
+        d = CancellationDiagram.of(*[(k, n - 1 - k) for k in range(n // 2)])
+        want = recursive_build_cellulation(w, d)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            with pytest.raises(RecursionError):
+                recursive_build_cellulation(w, d)
+            got = build_cellulation(w, d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
 
 class TestFilling:

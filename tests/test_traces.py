@@ -40,6 +40,7 @@ from conftest import (
     random_explicit_space,
     realized_loop,
     recursive_iter_matchings,
+    scan_diagram_valid,
     stack_trivial,
     subset_dp_trivial,
     word_from_letters,
@@ -342,6 +343,62 @@ class TestDiagrams:
                 assert got.spent == want.spent, w.text
                 found += len(new)
         assert found > 1000
+
+    def test_valid_matches_scan_oracle(self, fc4):
+        # The counting check against the rescanning one: the same verdict,
+        # or the same MalformedDiagram, on valid, invalid and malformed
+        # diagrams of AC2-style random words and realized depth-4 walk words.
+        rng = random.Random(20241018)
+        words = []
+        for _ in range(200):
+            w = random_word(rng, max_len=12)
+            back = tuple((g, -e) for g, e in reversed(w.letters))
+            words += [w, TraceWord(w.letters + back, w.commutes)]
+        for level in (2, 3, 4):
+            for _ in range(3):
+                loop = realized_loop(fc4, out_and_back_word(fc4, level, rng, max_len=6))
+                if loop is not None:
+                    words += [
+                        TraceWord.from_cyclic(encode_word(loop, fc4, i)) for i in range(1, 5)
+                    ]
+
+        def outcome(check, w, d):
+            try:
+                return check(w, d)
+            except MalformedDiagram as e:
+                return str(e)
+
+        def shuffled_matching(w):
+            # Inverse letters paired at random: well formed, often invalid.
+            by_letter = {}
+            for r, letter in enumerate(w.letters):
+                by_letter.setdefault(letter, []).append(r)
+            pairs = []
+            for (g, e), ps in by_letter.items():
+                if e > 0:
+                    qs = list(by_letter.get((g, -1), ()))
+                    rng.shuffle(qs)
+                    pairs += zip(ps, qs)
+            return CancellationDiagram.of(*pairs)
+
+        seen = {True: 0, False: 0, "malformed": 0}
+        for w in words:
+            n = len(w)
+            diagrams = list(itertools.islice(_iter_matchings(w, (), None), 3))
+            diagrams += [shuffled_matching(w) for _ in range(3)]
+            if n >= 2:
+                pairs = sorted(shuffled_matching(w).pairs)
+                diagrams += [
+                    CancellationDiagram(frozenset(pairs[1:])),  # a pair missing
+                    CancellationDiagram(frozenset(pairs + [(0, n)])),  # out of range
+                    CancellationDiagram(frozenset(pairs + [(0, n - 1)])),  # reused
+                    CancellationDiagram.of((0, 1), *[(r, r + 1) for r in range(2, n - 1, 2)]),
+                ]
+            for d in diagrams:
+                got = outcome(diagram_valid, w, d)
+                assert got == outcome(scan_diagram_valid, w, d), (w.text, sorted(d.pairs))
+                seen[got if isinstance(got, bool) else "malformed"] += 1
+        assert min(seen.values()) > 50, seen
 
     def test_preassigned_restricts(self):
         w = make_trace(["D+", "D-", "D+", "D-"])

@@ -203,6 +203,48 @@ class TestCrossingWalk:
                 with pytest.raises(DegeneratePosition):
                     scan_crossing_intervals(loop, seq, i)
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["full", "explicit"])
+    def test_entry_on_corridor_end(self, kind, depth):
+        # An entry crossing exactly on a corridor's end belongs to that
+        # corridor, whose closed extent holds it.
+        rng = random.Random(60 + depth)
+        if kind == "full":
+            seq = DefiningSequence.full_carpet(depth)
+        else:
+            seq = random_explicit_space(depth, rng)
+        ends = {0: 0, 1: 0}  # entries on an even start, on an odd end
+        for i in range(1, depth + 1):
+            for loop in _corner_triangles(seq, i, rng, 12):
+                for j in range(1, depth + 1):
+                    got = crossing_intervals(loop, seq, j)
+                    assert got == scan_crossing_intervals(loop, seq, j), (j, loop)
+                    for iv in got[0] + got[1] if j == i else ():
+                        x, y = loop.point_at(iv.start)
+                        along = x if iv.corridor.orientation == "H" else y
+                        for side, end in enumerate(iv.corridor.extent):
+                            ends[side] += along == end
+        assert ends[0] and ends[1], ends
+
+    def test_degenerate_message(self):
+        # The message names the edge's start parameter and its line.
+        seq = DefiningSequence.explicit(2, [])
+        square = (F(1, 10), F(1, 10))
+        cases = (
+            ((square, (F(1, 5), F(1, 10)), (F(1, 5), F(1, 3)), (F(1, 10), F(1, 3))), 1,
+             "edge at t=1/2 lies on the line y=1/3"),
+            ((square, (F(2, 9), F(1, 10)), (F(2, 9), F(1, 5))), 2,
+             "edge at t=1/3 lies on the line x=2/9"),
+            ((square, (F(1, 5), F(1, 10)), (F(1, 5), F(7, 9)), (F(1, 10), F(7, 9))), 2,
+             "edge at t=1/2 lies on the line y=7/9"),
+        )
+        for vertices, i, message in cases:
+            loop = PolyLoop(vertices)
+            for walk in (crossing_intervals, scan_crossing_intervals):
+                with pytest.raises(DegeneratePosition) as exc:
+                    walk(loop, seq, i)
+                assert str(exc.value) == message
+
     def test_axis_parallel_edge_off_strip_lines(self, fc2):
         # x = 2/9 is a line of level 2 only; y = 0 and y = 1/2 are no strip
         # line at any level.
@@ -216,6 +258,37 @@ class TestCrossingWalk:
             got = crossing_intervals(mid, seq, i)
             assert got == scan_crossing_intervals(mid, seq, i)
             assert got[0] and got[1]
+
+
+def _corner_triangles(seq, i, rng, count):
+    """Small valid triangles with one edge through a corridor end on a strip line.
+
+    The edge passes through (E/3^i, L/3^i) for a corridor end E (even
+    starts, odd ends) and a line L of its strip, so some crossing of the
+    strip's line lands exactly on the corridor's end.  Vertices are off
+    every grid line through the space's depth.
+    """
+    n, big = 3**i, 7 * 3**seq.depth
+    cs = [c for c in corridors(seq, i) if 0 < c.extent[0] or c.extent[1] < 1]
+    loops = []
+    for _ in range(100 * count if cs else 0):
+        if len(loops) == count:
+            break
+        c = rng.choice(cs)
+        e = rng.choice([x for x in c.extent if 0 < x < 1])
+        line = F(2 * c.stratum - rng.randrange(2), n)
+        v = (e, line) if c.orientation == "H" else (line, e)
+        # Within two depth-scale cells of the corner.
+        off = lambda: F(rng.choice([k for k in range(-6, 7) if k]), big)
+        d = (off(), off())
+        a, b = (v[0] + d[0], v[1] + d[1]), (v[0] - 2 * d[0], v[1] - 2 * d[1])
+        r = (v[0] + off(), v[1] + off())
+        if not all(0 < x < 1 for x in a + b + r) or len({a, b, r}) < 3:
+            continue
+        loop = PolyLoop((a, b, r) if rng.random() < 0.5 else (b, a, r))
+        if validate_loop(loop, seq, seq.depth).ok:
+            loops.append(loop)
+    return loops
 
 
 @functools.lru_cache(maxsize=None)
