@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
-0 for a decided verdict or a valid certificate, 2 for bad input or a
-failed check, 3 when the answer is inconclusive (caps, degeneracy).
+0 for a decided verdict or a valid certificate, 2 for bad input (a
+level outside the space included) or a failed check, 3 when the answer
+is inconclusive (caps, degeneracy).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .decide import (
     level_words,
     make_certificate,
 )
-from .errors import CarpetLoopError
+from .errors import CarpetLoopError, LevelOutOfRange
 from .grid import DefiningSequence, PolyLoop, validate_loop
 from .render import render_space
 from .serialize import (
@@ -174,7 +175,8 @@ def _render_cellulation(seq, loop, level, size) -> str:
     from .render import render_disk
 
     n = level if level is not None else seq.depth
-    report = validate_loop(loop, seq, n)
+    seq.check_level(n)
+    report = validate_loop(loop, seq, seq.depth)
     if not report.ok:
         raise FormatError(report.first.describe())
     word = encode_word(loop, seq, n)
@@ -304,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
     try:
         return args.fn(args)
-    except FormatError as e:
+    except (FormatError, LevelOutOfRange) as e:
         log.error("%s", e)
         return EXIT_INPUT
     except CarpetLoopError as e:

@@ -4,6 +4,10 @@ The disk is modeled by an inscribed rational polygon: every parameter of
 interest (crossing endpoints, loop vertices, quarter points) becomes a
 circle vertex via the rational quarter-arc map, diagram pairs become
 pairs of chords, and the chords cut the polygon into convex 2-cells.
+Each pair's band is the piece between its two chords.  The cut keeps
+every cell counterclockwise, and a band lies to the left of its chords
+and of its letters' arcs, so a cell lies in a band exactly when one of
+its edges runs forwards along one of them; no geometry is needed.
 Each cell is triangulated from its centroid and filled affinely into a
 target region of the space.  The fan apex maps to the centroid of the
 cell's values, or, when the target is a non-convex plus of grid squares,
@@ -176,7 +180,6 @@ class Node:
 @dataclass(frozen=True)
 class BandChord:
     band: int
-    which: int  # 0 or 1 within the band
     a: int  # node index
     b: int
 
@@ -186,7 +189,6 @@ class Band:
     index: int
     pair: tuple[int, int]
     corridor: Corridor
-    sign_first: int
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,15 @@ def build_cellulation(
     Chords of one pair connect the end of each letter to the start of
     the other.  Crossing chords must belong to commuting corridors; the
     crossing points become interior nodes and every face is convex.
+
+    Every region is cut counterclockwise, and a band lies to the left of
+    its two chords, taken from a letter's end to its partner's start,
+    and of its two letters' arcs, taken from start to end.  So a face
+    is inside a band exactly when one of its directed edges lies along
+    one of those four paths.  A chord skipped as identical to the cut
+    adds no edges: it belongs to an H and a V band, so nothing crosses
+    it, and the face on its band side holds the arc edge just before its
+    start node, which the letter ending there covers.
     """
     tw = TraceWord.from_cyclic(word)
     if not diagram_valid(tw, diagram):
@@ -229,17 +240,22 @@ def build_cellulation(
     nodes: list[Node] = [Node(circle_point(t), t) for t in ps]
     index_of = {t: j for j, t in enumerate(ps)}
 
+    # The bands to the left of each directed edge: arc edges here, chord
+    # runs at each cut.
+    m = len(ps)
+    inside: dict[tuple[int, int], list[int]] = {}
     bands: list[Band] = []
     chords: list[BandChord] = []
     for bi, (p, q) in enumerate(diagram.sorted_pairs):
         lp, lq = word.letters[p], word.letters[q]
-        bands.append(Band(bi, (p, q), lp.corridor, lp.sign))
-        chords.append(
-            BandChord(bi, 0, index_of[_mod1(lp.interval.end)], index_of[lq.interval.start])
-        )
-        chords.append(
-            BandChord(bi, 1, index_of[_mod1(lq.interval.end)], index_of[lp.interval.start])
-        )
+        bands.append(Band(bi, (p, q), lp.corridor))
+        c0 = BandChord(bi, index_of[_mod1(lp.interval.end)], index_of[lq.interval.start])
+        c1 = BandChord(bi, index_of[_mod1(lq.interval.end)], index_of[lp.interval.start])
+        chords += (c0, c1)
+        for j, end in ((c1.b, c0.a), (c0.b, c1.a)):  # the arcs of lp and lq
+            while j != end:
+                inside.setdefault((j, (j + 1) % m), []).append(bi)
+                j = (j + 1) % m
 
     crossings: list[tuple[int, int, int]] = []
     faces: list[tuple[int, ...]] = []
@@ -250,7 +266,7 @@ def build_cellulation(
     # Regions still to cut, each with the chords that lie in it; the
     # first region popped is the one a recursive cut would visit next,
     # so faces and crossing nodes come in depth-first order.
-    stack = [(list(range(len(ps))), work)]
+    stack = [(list(range(m)), work)]
     while stack:
         region, todo = stack.pop()
         if not todo:
@@ -302,39 +318,16 @@ def build_cellulation(
             (todo_a if sv == "A" else todo_b).append(part_v)
         on_cut.sort()
         xs = [xi for _, xi in on_cut]
+        run = [cut[0], *(xs if ca == cut[0] else xs[::-1]), cut[1]]
+        for edge in zip(run, run[1:]):
+            inside.setdefault(edge, []).append(cut[2])
         stack.append((chain_b + xs, todo_b))
         stack.append((chain_a + xs[::-1], todo_a))
 
-    # Band membership: a band is the polygon piece between its two
-    # chords; the reference centroid of the four chord endpoints sits
-    # strictly inside it.
-    half_planes = []
-    for b in bands:
-        c0, c1 = chords[2 * b.index], chords[2 * b.index + 1]
-        ref = _centroid(
-            [nodes[c0.a].point, nodes[c0.b].point, nodes[c1.a].point, nodes[c1.b].point]
-        )
-        sides = []
-        for c in (c0, c1):
-            s = _cross(nodes[c.a].point, nodes[c.b].point, ref)
-            if s == 0:
-                raise AssertionError("band reference point on its own chord")
-            sides.append((nodes[c.a].point, nodes[c.b].point, s > 0))
-        half_planes.append(sides)
-
     final_faces = []
     for fnodes in faces:
-        cen = _centroid([nodes[j].point for j in fnodes])
-        mem = []
-        for b in bands:
-            ok = True
-            for pa, pb, positive in half_planes[b.index]:
-                s = _cross(pa, pb, cen)
-                if s == 0 or (s > 0) != positive:
-                    ok = False
-                    break
-            if ok:
-                mem.append(b.index)
+        edges = zip(fnodes[-1:] + fnodes[:-1], fnodes)
+        mem = sorted({b for edge in edges for b in inside.get(edge, ())})
         if len(mem) > 2:
             raise AssertionError(f"face inside {len(mem)} bands")
         if len(mem) == 2:
@@ -342,7 +335,7 @@ def build_cellulation(
             o2 = bands[mem[1]].corridor.orientation
             if o1 == o2:
                 raise AssertionError("face inside two same-orientation bands")
-        final_faces.append(Face(tuple(fnodes), tuple(mem)))
+        final_faces.append(Face(fnodes, tuple(mem)))
 
     return Cellulation(
         params=ps,
@@ -462,7 +455,6 @@ class LevelHomotopy:
     word: CyclicWord
     diagram: CancellationDiagram
     cellulation: Cellulation
-    node_values: tuple[Point, ...]
     fills: tuple[FaceFill, ...]
 
     @property
@@ -600,7 +592,6 @@ def build_homotopy(
         word=word,
         diagram=diagram,
         cellulation=cell,
-        node_values=tuple(values),
         fills=tuple(fills),
     )
 

@@ -59,7 +59,10 @@ def space_from_json(data: dict) -> DefiningSequence:
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad space object: {e}") from e
     if pattern == FULL_CARPET:
-        seq = DefiningSequence.full_carpet(depth)
+        try:
+            seq = DefiningSequence.full_carpet(depth)
+        except ValueError as e:
+            raise FormatError(str(e)) from e
         if "removed" in data and data["removed"] != space_to_json(seq)["removed"]:
             raise FormatError("removed list disagrees with the full pattern")
         return seq

@@ -150,12 +150,6 @@ class CancellationDiagram:
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
 
-    def partner(self) -> dict[int, int]:
-        out = {}
-        for p, q in self.pairs:
-            out[p], out[q] = q, p
-        return out
-
 
 def _check_matching(word: TraceWord, diagram: CancellationDiagram) -> None:
     seen: set[int] = set()

@@ -654,12 +654,12 @@ def recursive_build_cellulation(
     chords: list[BandChord] = []
     for bi, (p, q) in enumerate(diagram.sorted_pairs):
         lp, lq = word.letters[p], word.letters[q]
-        bands.append(Band(bi, (p, q), lp.corridor, lp.sign))
+        bands.append(Band(bi, (p, q), lp.corridor))
         chords.append(
-            BandChord(bi, 0, index_of[_mod1(lp.interval.end)], index_of[lq.interval.start])
+            BandChord(bi, index_of[_mod1(lp.interval.end)], index_of[lq.interval.start])
         )
         chords.append(
-            BandChord(bi, 1, index_of[_mod1(lq.interval.end)], index_of[lp.interval.start])
+            BandChord(bi, index_of[_mod1(lq.interval.end)], index_of[lp.interval.start])
         )
 
     crossings: list[tuple[int, int, int]] = []

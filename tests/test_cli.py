@@ -141,6 +141,11 @@ class TestDecide:
         code, _ = run(capsys, ["decide", "--space", str(bad), "--loop", files["ring"]])
         assert code == 2
 
+    def test_full_carpet_below_depth_one(self, capsys, files, tmp_path):
+        space = write_json(tmp_path / "s.json", {"depth": 0, "pattern": "full_carpet"})
+        code, _ = run(capsys, ["decide", "--space", space, "--loop", files["ring"]])
+        assert code == 2
+
     def test_space_from_stdin(self, capsys, files, fc2, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(space_to_json(fc2))))
         code, out = run(capsys, ["decide", "--space", "-", "--loop", files["ring"]])
@@ -294,6 +299,38 @@ class TestRender:
             capsys, ["render", "--space", files["space"], "--cellulation"]
         )
         assert code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--level", "9"],
+            ["decide", "--level", "9"],
+            ["certify", "--level", "9"],
+            ["render", "--corridors", "9"],
+            ["render", "--cellulation", "--level", "7"],
+        ],
+    )
+    def test_level_outside_space(self, capsys, caplog, files, argv):
+        cmd, *rest = argv
+        code, _ = run(
+            capsys, [cmd, "--space", files["space"], "--loop", files["ring"], *rest]
+        )
+        assert code == 2
+        assert "outside 1..2" in caplog.text
+
+    def test_cellulation_validates_every_level(self, capsys, caplog, files, tmp_path):
+        # The triangle lies inside the level-2 hole (2, 1, 1): a level-1
+        # cellulation must still reject it, as encode and decide do.
+        tri = PolyLoop(((F(1, 7), F(1, 7)), (F(5, 28), F(1, 7)), (F(1, 7), F(5, 28))))
+        loop = write_json(tmp_path / "hole.json", loop_to_json(tri))
+        for cmd in (["encode"], ["decide"], ["render", "--cellulation"]):
+            code, _ = run(
+                capsys, [*cmd, "--space", files["space"], "--loop", loop, "--level", "1"]
+            )
+            assert code == 2
+        assert "(2, 1, 1)" in caplog.text
 
 
 class TestOracle:

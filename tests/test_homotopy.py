@@ -1,5 +1,7 @@
 """Disk fillings: cell classification, cellulations, targets, convergence."""
 
+import ast
+import inspect
 import json
 import pathlib
 import random
@@ -13,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from carpetloop import (
     CancellationDiagram,
+    CrossingInterval,
+    CyclicWord,
     DefiningSequence,
+    Letter,
     TraceWord,
     TrivialUpTo,
     build_cellulation,
@@ -22,10 +27,12 @@ from carpetloop import (
     circle_point,
     convergence_gap,
     corridors,
+    crossing_relation,
     decide,
     encode_word,
     enumerate_diagrams,
     evaluate,
+    first_diagram,
     verify_containment,
 )
 from carpetloop.errors import (
@@ -33,6 +40,7 @@ from carpetloop.errors import (
     IncompatibleHomotopies,
     MalformedDiagram,
 )
+from carpetloop import homotopy
 from carpetloop.homotopy import (
     FaceFill,
     Target,
@@ -241,6 +249,88 @@ class TestCellulation:
         finally:
             sys.setrecursionlimit(limit)
         assert got == want
+
+
+def hand_word(seq, level, letters):
+    """A word from (corridor, sign, start, end) letters at the given marks."""
+    word = tuple(Letter(c, sign, CrossingInterval(a, b, c, sign)) for c, sign, a, b in letters)
+    present = {l.generator for l in word}
+    rel = frozenset(p for p in crossing_relation(seq, level) if p <= present)
+    return CyclicWord(level, word, rel)
+
+
+def names_in(fn) -> set[str]:
+    tree = ast.parse(inspect.getsource(fn))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+class TestBandMembership:
+    """Faces read their bands off the directed edges of the cut."""
+
+    @pytest.fixture
+    def hv(self):
+        seq = DefiningSequence.explicit(1, [])
+        cs = corridors(seq, 1)
+        v = next(c for c in cs if c.orientation == "V")
+        h = next(c for c in cs if c.orientation == "H")
+        return seq, h, v
+
+    def test_twin_chords(self, hv):
+        # Both bands' first chords run from 1/4 to 1/2, so the second is
+        # skipped as geometrically identical to the first.
+        seq, h, v = hv
+        w = hand_word(
+            seq, 1,
+            [(h, 1, F(0), F(1, 4)), (v, 1, F(1, 8), F(1, 4)),
+             (h, -1, F(1, 2), F(3, 4)), (v, -1, F(1, 2), F(5, 8))],
+        )
+        d = CancellationDiagram.of((0, 2), (1, 3))
+        cell = build_cellulation(w, d)
+        c = cell.chords
+        assert (c[0].a, c[0].b) == (c[2].a, c[2].b)
+        assert cell == recursive_build_cellulation(w, d)
+        assert (0, 1) in [f.bands for f in cell.faces]
+
+    def test_band_nested_in_a_strip(self, hv):
+        # The V band lies inside the H band's strip: its junction face
+        # touches no chord of the H band, only its arcs.
+        seq, h, v = hv
+        w = hand_word(
+            seq, 1,
+            [(h, 1, F(0), F(1, 4)), (v, 1, F(1, 16), F(1, 8)),
+             (h, -1, F(1, 2), F(3, 4)), (v, -1, F(9, 16), F(5, 8))],
+        )
+        d = CancellationDiagram.of((0, 2), (1, 3))
+        cell = build_cellulation(w, d)
+        assert cell == recursive_build_cellulation(w, d)
+        (junction,) = [f for f in cell.faces if f.bands == (0, 1)]
+        h_chords = {cell.chords[0].a, cell.chords[0].b, cell.chords[1].a, cell.chords[1].b}
+        assert not any(
+            {junction.nodes[k - 1], junction.nodes[k]} <= h_chords
+            for k in range(len(junction.nodes))
+        )
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_fixture_level_three_word(self, fc3, nested):
+        loop = loop_from_json(json.loads((DATA / "out_and_back_x8_fc5.json").read_text()))
+        w = encode_word(loop, fc3, 3)
+        n = len(w)
+        assert n == 288
+        if nested:
+            d = CancellationDiagram.of(*[(k, n - 1 - k) for k in range(n // 2)])
+        else:
+            d = first_diagram(TraceWord.from_cyclic(w))
+        params = [loop.vertex_param(j) for j in range(len(loop))]
+        assert build_cellulation(w, d, params=params) == recursive_build_cellulation(
+            w, d, params=params
+        )
+
+    def test_no_geometric_membership_pass(self):
+        assert not names_in(homotopy.build_cellulation) & {"_cross", "_centroid"}
+
+    def test_guard_sees_geometry(self):
+        # The guard's self-test: the oracle still tests centroids.
+        assert {"_cross", "_centroid"} <= names_in(recursive_build_cellulation)
 
 
 class TestFilling:
