@@ -180,7 +180,7 @@ def _render_cellulation(seq, loop, level, size) -> str:
     if not report.ok:
         raise FormatError(report.first.describe())
     word = encode_word(loop, seq, n)
-    diagram = first_diagram(TraceWord.from_cyclic(word))
+    diagram = first_diagram(word.trace)
     if diagram is None:
         raise CarpetLoopError(f"level-{n} word admits no cancellation diagram")
     h = build_homotopy(loop, seq, n, diagram, word=word)

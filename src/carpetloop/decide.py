@@ -23,7 +23,6 @@ from typing import Iterator, Optional, Union
 from .errors import (
     CapExceeded,
     DegeneratePosition,
-    MalformedDiagram,
     NotFoundError,
     RefinementViolation,
 )
@@ -34,10 +33,7 @@ from .traces import (
     CancellationDiagram,
     CoherentScheme,
     SearchCaps,
-    TraceWord,
     coherent_scheme,
-    diagram_valid,
-    induces,
     trace_trivial,
 )
 from .words import CyclicWord, encode_word, refinement_map
@@ -99,7 +95,7 @@ def level_words(
             return
         # Independent cross-check: the piling verdict on the corridor
         # word must agree with reduction in the free group.
-        piled = trace_trivial(TraceWord.from_cyclic(word))
+        piled = trace_trivial(word.trace)
         if piled != free.is_identity:
             yield Inconclusive(
                 f"internal disagreement at level {i} (piling trivial={piled}, "
@@ -168,6 +164,13 @@ def decide(
 # Certificates
 
 
+def _json_int(x) -> int:
+    """A JSON integer as is; a float, a bool or anything else is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Replayable evidence for a verdict, bound to its inputs by hash."""
@@ -199,14 +202,15 @@ class Certificate:
     def from_json(data: dict) -> "Certificate":
         return Certificate(
             kind=data["kind"],
-            level=int(data["level"]),
+            level=_json_int(data["level"]),
             space_sha=data["space_sha256"],
             loop_sha=data["loop_sha256"],
             words=tuple(data["words"]),
             free_words=tuple(data["free_words"]),
             witness=data.get("witness"),
             diagrams=tuple(
-                tuple((int(a), int(b)) for a, b in d) for d in data.get("diagrams", [])
+                tuple((_json_int(a), _json_int(b)) for a, b in d)
+                for d in data.get("diagrams", [])
             ),
             conclusive=data.get("conclusive"),
         )
@@ -294,25 +298,23 @@ def check_certificate(
             return CheckReport(False, "witness differs from the top-level word")
         return CheckReport(True)
 
-    if len(cert.diagrams) != cert.level:
-        return CheckReport(False, "wrong number of diagrams")
-    diagrams = [CancellationDiagram.of(*pairs) for pairs in cert.diagrams]
-    for i, (word, d) in enumerate(zip(words, diagrams), start=1):
+    # Refinements are built up to the first pair that fails, which is
+    # reported only if no level's diagram and no earlier pair fails.
+    refinements = []
+    unrefined = ""
+    for i in range(1, len(words)):
         try:
-            valid = diagram_valid(TraceWord.from_cyclic(word), d)
-        except MalformedDiagram as e:
-            return CheckReport(False, f"level-{i} diagram malformed: {e}")
-        if not valid:
-            return CheckReport(False, f"level-{i} diagram invalid")
-    for i in range(1, cert.level):
-        try:
-            corr = refinement_map(words[i - 1], words[i])
+            refinements.append(refinement_map(words[i - 1], words[i]))
         except RefinementViolation as e:
-            return CheckReport(False, f"levels {i} and {i + 1} do not refine: {e}")
-        if not induces(diagrams[i], corr, diagrams[i - 1]):
-            return CheckReport(
-                False, f"level-{i + 1} diagram does not induce the level-{i} one"
-            )
+            unrefined = f"levels {i} and {i + 1} do not refine: {e}"
+            break
+    chain = CoherentScheme(
+        tuple(w.trace for w in words),
+        tuple(CancellationDiagram.of(*pairs) for pairs in cert.diagrams),
+    )
+    reason = chain.defect(refinements) or unrefined
+    if reason:
+        return CheckReport(False, reason)
     conclusive = max_hole_level(seq) <= cert.level
     if cert.conclusive is not None and cert.conclusive != conclusive:
         return CheckReport(False, "conclusiveness flag is wrong")

@@ -368,19 +368,6 @@ def _corridor_at(
     return None
 
 
-def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction]) -> Corridor:
-    orientation, level, stratum, e0 = ident
-    seq.check_level(level)
-    c = None
-    if orientation in ("H", "V") and 1 <= stratum <= (_pow3(level) - 1) // 2:
-        num, den = e0.as_integer_ratio()
-        x, r = divmod(num * _pow3(level), den)
-        c = _corridor_at(seq, orientation, level, stratum, x, r == 0)
-    if c is None or c.extent[0] != e0:
-        raise KeyError(f"no corridor with id {ident}")
-    return c
-
-
 @dataclass(frozen=True)
 class PolyLoop:
     """A closed polygonal loop, parameterized uniformly over [0, 1).

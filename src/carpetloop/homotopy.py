@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
 from .grid import Corridor, DefiningSequence, PolyLoop, Point, _pow3, _segment_cells
-from .traces import CancellationDiagram, TraceWord, diagram_valid
+from .traces import CancellationDiagram, diagram_valid
 from .words import CyclicWord, encode_word, _mod1
 
 QUARTERS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -227,8 +227,7 @@ def build_cellulation(
     it, and the face on its band side holds the arc edge just before its
     start node, which the letter ending there covers.
     """
-    tw = TraceWord.from_cyclic(word)
-    if not diagram_valid(tw, diagram):
+    if not diagram_valid(word.trace, diagram):
         raise MalformedDiagram("diagram is not valid for the word")
     marks = set(QUARTERS)
     for l in word.letters:
@@ -303,7 +302,7 @@ def build_cellulation(
             st = _segments_cross(pa, pb, nodes[du].point, nodes[dv].point)
             if st is None:
                 raise AssertionError("straddling chord fails to cross the cut")
-            if not word.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
+            if not word.trace.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
                 raise MalformedDiagram(
                     "chords of non-commuting corridors cross; the diagram "
                     "cannot come from a valid cancellation"

@@ -5,20 +5,21 @@ slide past each other; everything here is exact combinatorics on those
 two rules.  Validity of a pairing is decided by greedy nested
 elimination, which is order-independent: deleting one deletable pair
 never makes another deletable pair undeletable.
+
+Generators are any hashable, orderable values.  A corridor word reaches
+these kernels only through its `CyclicWord.trace`, built once per word,
+so this module imports nothing else of the package; a refinement
+correspondence is read only for its `ends` and its coarse word's trace.
 """
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, MalformedDiagram, NoInducedDiagram, NotFoundError
-from .words import CyclicWord, RefinementCorrespondence
-
-log = logging.getLogger(__name__)
 
 Gen = object  # corridor id tuple or plain string; any hashable, orderable kind
 
@@ -57,10 +58,6 @@ class TraceWord:
         if ia is None or ib is None:
             return a != b and frozenset((a, b)) in self.commutes
         return ib in nbrs[ia]
-
-    @staticmethod
-    def from_cyclic(word: CyclicWord) -> "TraceWord":
-        return TraceWord(word.generator_keys(), word.commutes)
 
     @staticmethod
     def from_strings(tokens: Sequence[str], commuting: Iterable[tuple[str, str]] = ()) -> "TraceWord":
@@ -236,12 +233,10 @@ class Budget:
         self.limit = limit
         self.spent = 0
 
-    def charge(self, n: int = 1, partial=None) -> None:
-        self.spent += n
+    def charge(self) -> None:
+        self.spent += 1
         if self.spent > self.limit:
-            raise CapExceeded(
-                f"work budget {self.limit} exhausted", partial=partial
-            )
+            raise CapExceeded(f"work budget {self.limit} exhausted")
 
 
 def _crosses(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -342,12 +337,11 @@ def _iter_matchings(
 def enumerate_diagrams(
     word: TraceWord,
     cap: int = 100_000,
-    budget: Optional[Budget] = None,
     preassigned: Iterable[tuple[int, int]] = (),
 ) -> tuple[CancellationDiagram, ...]:
     """All valid diagrams, deterministically ordered; CapExceeded past cap."""
     out: list[CancellationDiagram] = []
-    for d in _iter_matchings(word, preassigned, budget):
+    for d in _iter_matchings(word, preassigned, None):
         out.append(d)
         if len(out) > cap:
             raise CapExceeded(
@@ -361,9 +355,7 @@ def first_diagram(word: TraceWord) -> Optional[CancellationDiagram]:
     return next(_iter_matchings(word, (), None), None)
 
 
-def _forced_pairs(
-    d_fine: CancellationDiagram, corr: RefinementCorrespondence
-) -> frozenset[tuple[int, int]]:
+def _forced_pairs(d_fine: CancellationDiagram, corr) -> frozenset[tuple[int, int]]:
     """Coarse pairs forced by fine pairs joining two parents' end letters."""
     role: dict[int, tuple[int, str]] = {}
     for j, (f, l) in enumerate(corr.ends):
@@ -391,56 +383,13 @@ def _forced_pairs(
     return frozenset(forced)
 
 
-def _induce_candidates(
-    d_fine: CancellationDiagram,
-    corr: RefinementCorrespondence,
-    budget: Optional[Budget] = None,
-    cap: int = 100_000,
-) -> tuple[CancellationDiagram, ...]:
-    coarse = TraceWord.from_cyclic(corr.coarse_word)
-    forced = _forced_pairs(d_fine, corr)
-    try:
-        return enumerate_diagrams(coarse, cap=cap, budget=budget, preassigned=forced)
-    except MalformedDiagram as exc:
-        raise NoInducedDiagram(str(exc)) from exc
-
-
-def induce_diagram(
-    d_fine: CancellationDiagram,
-    corr: RefinementCorrespondence,
-    cap: int = 100_000,
-) -> tuple[CancellationDiagram, ...]:
-    """All coarse diagrams consistent with a fine diagram across a refinement.
+def induces(d_fine: CancellationDiagram, corr, d_coarse: CancellationDiagram) -> bool:
+    """Does the fine diagram induce the valid coarse diagram d_coarse?
 
     Fine pairs whose two positions are end sub-letters of two different
-    coarse letters force those coarse letters to pair; the result is
-    every valid coarse diagram containing the forced pairs.  An empty
-    result is loud: for genuine loop data it would contradict the
-    induction property this package is built to check.
-    """
-    out = _induce_candidates(d_fine, corr, cap=cap)
-    if not out:
-        log.error(
-            "no induced diagram: fine=%s coarse=%s ends=%s",
-            sorted(d_fine.pairs),
-            corr.coarse_word.text,
-            corr.ends,
-        )
-        raise NoInducedDiagram(
-            f"no valid coarse diagram extends forced pairs of {sorted(d_fine.pairs)}"
-        )
-    return out
-
-
-def induces(
-    d_fine: CancellationDiagram,
-    corr: RefinementCorrespondence,
-    d_coarse: CancellationDiagram,
-) -> bool:
-    """Is the valid coarse diagram d_coarse among induce_diagram(d_fine, corr)?
-
-    Every prune of the search is sound, so the valid coarse diagrams it
-    yields are exactly those containing the forced pairs.
+    coarse letters force those coarse letters to pair; the diagrams
+    induced across the refinement are the valid coarse diagrams that
+    contain every forced pair.
     """
     try:
         return _forced_pairs(d_fine, corr) <= d_coarse.pairs
@@ -461,81 +410,85 @@ class CoherentScheme:
     words: tuple[TraceWord, ...]
     diagrams: tuple[CancellationDiagram, ...]
 
-    def verify(self, refinements: Sequence[RefinementCorrespondence]) -> bool:
-        if len(self.words) != len(self.diagrams):
-            return False
-        for w, d in zip(self.words, self.diagrams):
+    def defect(self, refinements: Sequence) -> str:
+        """Why the chain fails, or '' if it holds.
+
+        Every level's diagram must be valid for its word, then each
+        refinement's fine diagram must induce the coarse one; the first
+        failure is reported.
+        """
+        if len(self.diagrams) != len(self.words):
+            return "wrong number of diagrams"
+        for i, (w, d) in enumerate(zip(self.words, self.diagrams), start=1):
             try:
                 if not diagram_valid(w, d):
-                    return False
-            except MalformedDiagram:
-                return False
-        return all(
-            induces(self.diagrams[idx + 1], corr, self.diagrams[idx])
-            for idx, corr in enumerate(refinements)
-        )
+                    return f"level-{i} diagram invalid"
+            except MalformedDiagram as e:
+                return f"level-{i} diagram malformed: {e}"
+        for i, corr in enumerate(refinements, start=1):
+            if not induces(self.diagrams[i], corr, self.diagrams[i - 1]):
+                return f"level-{i + 1} diagram does not induce the level-{i} one"
+        return ""
+
+    def verify(self, refinements: Sequence) -> bool:
+        return not self.defect(refinements)
 
 
 def coherent_scheme(
-    words: Sequence[TraceWord | CyclicWord],
-    refinements: Sequence[RefinementCorrespondence],
-    caps: SearchCaps = SearchCaps(),
+    words: Sequence, refinements: Sequence, caps: SearchCaps = SearchCaps()
 ) -> CoherentScheme:
     """Find diagrams for every level that induce one another downward.
 
-    Depth-first from the deepest level with memoized dead ends.  Raises
-    NotFoundError with the deepest level that blocked every chain, or
-    CapExceeded when a per-level enumeration or the global work budget
-    overflows.
+    The words are CyclicWords, level 1 first.  Depth-first from the
+    deepest level with memoized dead ends; each level's candidates are
+    the valid diagrams containing the pairs forced from above, tried
+    lazily in enumeration order.  Raises NotFoundError with the deepest
+    level that blocked every chain, which a nontrivial word always does,
+    or CapExceeded when more than caps.per_level diagrams are tried at
+    one level or the global work budget overflows.
     """
-    ws = [
-        TraceWord.from_cyclic(w) if isinstance(w, CyclicWord) else w
-        for w in words
-    ]
+    ws = tuple(w.trace for w in words)
     if len(refinements) != len(ws) - 1:
         raise ValueError(
             f"{len(ws)} words need {len(ws) - 1} refinements, got {len(refinements)}"
         )
-    for idx, w in enumerate(ws):
-        if not trace_trivial(w):
-            raise NotFoundError(idx + 1, f"level-{idx + 1} word is not trivial")
     n = len(ws)
     budget = Budget(caps.work)
     dead: set[tuple[int, CancellationDiagram]] = set()
     blocked = [n]
+
+    def tried(level: int, cands: Iterator[CancellationDiagram]) -> Iterator[CancellationDiagram]:
+        """The candidates, counted against caps.per_level."""
+        for count, d in enumerate(cands, start=1):
+            if count > caps.per_level:
+                raise CapExceeded(f"more than {caps.per_level} diagrams at level {level}")
+            yield d
 
     def chain(idx: int, d: CancellationDiagram) -> Optional[list[CancellationDiagram]]:
         if idx == 0:
             return [d]
         if (idx, d) in dead:
             return None
+        corr = refinements[idx - 1]
+        found = False
         try:
-            cands = _induce_candidates(
-                d, refinements[idx - 1], budget=budget, cap=caps.per_level
-            )
-        except NoInducedDiagram:
-            cands = ()
-        if not cands:
+            forced = _forced_pairs(d, corr)
+            for c in tried(idx, _iter_matchings(corr.coarse_word.trace, forced, budget)):
+                found = True
+                sub = chain(idx - 1, c)
+                if sub is not None:
+                    return sub + [d]
+        except (NoInducedDiagram, MalformedDiagram):
+            # Forced pairs that conflict or join non-inverse letters: no
+            # coarse diagram contains them.
+            pass
+        if not found:
             blocked[0] = min(blocked[0], idx)
-        for c in cands:
-            sub = chain(idx - 1, c)
-            if sub is not None:
-                return sub + [d]
         dead.add((idx, d))
         return None
 
-    count = 0
-    any_top = False
-    for d_top in _iter_matchings(ws[n - 1], (), budget):
-        any_top = True
-        count += 1
-        if count > caps.per_level:
-            raise CapExceeded(
-                f"more than {caps.per_level} diagrams at level {n}", partial=None
-            )
+    for d_top in tried(n, _iter_matchings(ws[n - 1], (), budget)):
         result = chain(n - 1, d_top)
         if result is not None:
-            return CoherentScheme(tuple(ws), tuple(result))
-    if not any_top:
-        blocked[0] = n
+            return CoherentScheme(ws, tuple(result))
     raise NotFoundError(blocked[0], f"every chain blocked at level {blocked[0]}")

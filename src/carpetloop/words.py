@@ -13,7 +13,9 @@ loop crosses only: each crossing looks up its corridor in its own strip,
 and the commutation relation is built among the word's own corridors, so
 the cost follows the loop's letters rather than the level's holes.
 Refinement relates the words of two consecutive levels; realization
-inverts encoding for abstract words.
+inverts encoding for abstract words.  A word reaches the trace kernels
+(piling, diagram checks and searches) only through its `trace`, built
+once per word and shared by every consumer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, RefinementViolation, Unroutable
@@ -36,6 +39,7 @@ from .grid import (
     _over_common_denominator,
     _pow3,
 )
+from .traces import TraceWord
 
 CorridorId = tuple[str, int, int, Fraction]
 
@@ -90,11 +94,10 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def generator_keys(self) -> tuple[tuple[CorridorId, int], ...]:
-        return tuple((l.generator, l.sign) for l in self.letters)
-
-    def commute(self, a: CorridorId, b: CorridorId) -> bool:
-        return frozenset((a, b)) in self.commutes
+    @cached_property
+    def trace(self) -> TraceWord:
+        """The (corridor id, sign) letters with the relation, built once."""
+        return TraceWord(tuple((l.generator, l.sign) for l in self.letters), self.commutes)
 
     @property
     def text(self) -> str:

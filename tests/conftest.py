@@ -20,6 +20,7 @@ import pytest
 
 from carpetloop import (
     CancellationDiagram,
+    CoherentScheme,
     Corridor,
     CrossingInterval,
     CyclicWord,
@@ -28,20 +29,25 @@ from carpetloop import (
     GridSquare,
     Letter,
     RefinementCorrespondence,
+    SearchCaps,
     TraceWord,
-    corridor_by_id,
     corridors,
     diagram_valid,
     eligible_squares,
     punctures,
     realize_word,
+    trace_trivial,
 )
 from carpetloop.errors import (
+    CapExceeded,
     DegeneratePosition,
     MalformedDiagram,
+    NoInducedDiagram,
+    NotFoundError,
     RefinementViolation,
     Unroutable,
 )
+from carpetloop.grid import _corridor_at, _pow3
 from carpetloop.homotopy import (
     QUARTERS,
     Band,
@@ -56,7 +62,13 @@ from carpetloop.homotopy import (
     circle_point,
 )
 from carpetloop.serialize import FormatError, parse_frac
-from carpetloop.traces import _check_matching, _crosses
+from carpetloop.traces import (
+    Budget,
+    _check_matching,
+    _crosses,
+    _forced_pairs,
+    _iter_matchings,
+)
 from carpetloop.words import _relation
 
 
@@ -298,6 +310,114 @@ def recursive_iter_matchings(word, preassigned, budget):
             used_now.difference_update(cand)
 
     yield from rec()
+
+
+# ---------------------------------------------------------------------------
+# Induction and scheme oracles: the induced diagrams listed in full, as the
+# scheme search did before it tried them lazily
+
+
+def eager_induce_candidates(
+    d_fine: CancellationDiagram,
+    corr: RefinementCorrespondence,
+    budget: Optional[Budget] = None,
+    cap: int = 100_000,
+) -> tuple[CancellationDiagram, ...]:
+    """Every valid coarse diagram containing the forced pairs, listed up front.
+
+    CapExceeded past cap, charged to the budget; a forced pair of
+    non-inverse letters is a NoInducedDiagram.
+    """
+    coarse = corr.coarse_word.trace
+    forced = _forced_pairs(d_fine, corr)
+    out: list[CancellationDiagram] = []
+    try:
+        for d in _iter_matchings(coarse, forced, budget):
+            out.append(d)
+            if len(out) > cap:
+                raise CapExceeded(
+                    f"more than {cap} valid diagrams", partial=tuple(out[:cap])
+                )
+    except MalformedDiagram as exc:
+        raise NoInducedDiagram(str(exc)) from exc
+    return tuple(out)
+
+
+def induce_diagram(
+    d_fine: CancellationDiagram,
+    corr: RefinementCorrespondence,
+    cap: int = 100_000,
+) -> tuple[CancellationDiagram, ...]:
+    """All coarse diagrams consistent with a fine diagram across a refinement.
+
+    Fine pairs whose two positions are end sub-letters of two different
+    coarse letters force those coarse letters to pair; the result is
+    every valid coarse diagram containing the forced pairs.  An empty
+    result raises NoInducedDiagram.
+    """
+    out = eager_induce_candidates(d_fine, corr, cap=cap)
+    if not out:
+        raise NoInducedDiagram(
+            f"no valid coarse diagram extends forced pairs of {sorted(d_fine.pairs)}"
+        )
+    return out
+
+
+def eager_coherent_scheme(words, refinements, caps: SearchCaps = SearchCaps()) -> CoherentScheme:
+    """`traces.coherent_scheme` as it was when it listed every induced diagram.
+
+    Each level's word is piled first, and every chain step enumerates
+    all its induced coarse diagrams, against caps.per_level and the work
+    budget, before it tries the first.
+    """
+    ws = [w.trace for w in words]
+    if len(refinements) != len(ws) - 1:
+        raise ValueError(
+            f"{len(ws)} words need {len(ws) - 1} refinements, got {len(refinements)}"
+        )
+    for idx, w in enumerate(ws):
+        if not trace_trivial(w):
+            raise NotFoundError(idx + 1, f"level-{idx + 1} word is not trivial")
+    n = len(ws)
+    budget = Budget(caps.work)
+    dead: set = set()
+    blocked = [n]
+
+    def chain(idx, d):
+        if idx == 0:
+            return [d]
+        if (idx, d) in dead:
+            return None
+        try:
+            cands = eager_induce_candidates(
+                d, refinements[idx - 1], budget=budget, cap=caps.per_level
+            )
+        except NoInducedDiagram:
+            cands = ()
+        if not cands:
+            blocked[0] = min(blocked[0], idx)
+        for c in cands:
+            sub = chain(idx - 1, c)
+            if sub is not None:
+                return sub + [d]
+        dead.add((idx, d))
+        return None
+
+    count = 0
+    any_top = False
+    for d_top in _iter_matchings(ws[n - 1], (), budget):
+        any_top = True
+        count += 1
+        if count > caps.per_level:
+            raise CapExceeded(
+                f"more than {caps.per_level} diagrams at level {n}", partial=None
+            )
+        result = chain(n - 1, d_top)
+        if result is not None:
+            return CoherentScheme(tuple(ws), tuple(result))
+    if not any_top:
+        blocked[0] = n
+    raise NotFoundError(blocked[0], f"every chain blocked at level {blocked[0]}")
 
 
 def _deletable(word: TraceWord, alive: set[int], p: int, q: int) -> bool:
@@ -637,7 +757,7 @@ def recursive_build_cellulation(
     the other.  Crossing chords must belong to commuting corridors; the
     crossing points become interior nodes and every face is convex.
     """
-    tw = TraceWord.from_cyclic(word)
+    tw = word.trace
     if not diagram_valid(tw, diagram):
         raise MalformedDiagram("diagram is not valid for the word")
     marks = set(QUARTERS)
@@ -703,7 +823,7 @@ def recursive_build_cellulation(
             st = _segments_cross(pa, pb, nodes[du].point, nodes[dv].point)
             if st is None:
                 raise AssertionError("straddling chord fails to cross the cut")
-            if not word.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
+            if not tw.commute(bands[cut[2]].corridor.id, bands[d[2]].corridor.id):
                 raise MalformedDiagram(
                     "chords of non-commuting corridors cross; the diagram "
                     "cannot come from a valid cancellation"
@@ -1260,7 +1380,7 @@ def _least_rotation(seq):
 
 
 def canonical_rotation(word):
-    keys = [(k[0][0], k[0][1], k[0][2], k[0][3], k[1]) for k in word.generator_keys()]
+    keys = [(k[0][0], k[0][1], k[0][2], k[0][3], k[1]) for k in word.trace.letters]
     return _least_rotation(keys)
 
 
@@ -1268,9 +1388,23 @@ def cyclically_equal(a, b):
     """Same level and the same (generator, sign) sequence up to rotation."""
     if a.level != b.level or len(a) != len(b):
         return False
-    return _rotated(a.generator_keys(), canonical_rotation(a)) == _rotated(
-        b.generator_keys(), canonical_rotation(b)
+    return _rotated(a.trace.letters, canonical_rotation(a)) == _rotated(
+        b.trace.letters, canonical_rotation(b)
     )
+
+
+def corridor_by_id(seq: DefiningSequence, ident: tuple[str, int, int, Fraction]) -> Corridor:
+    """The corridor with the given id; KeyError when the space has none."""
+    orientation, level, stratum, e0 = ident
+    seq.check_level(level)
+    c = None
+    if orientation in ("H", "V") and 1 <= stratum <= (_pow3(level) - 1) // 2:
+        num, den = e0.as_integer_ratio()
+        x, r = divmod(num * _pow3(level), den)
+        c = _corridor_at(seq, orientation, level, stratum, x, r == 0)
+    if c is None or c.extent[0] != e0:
+        raise KeyError(f"no corridor with id {ident}")
+    return c
 
 
 _LETTER_RE = re.compile(r"^([HV]):(\d+):(\d+):(-?\d+/\d+)([+-])$")

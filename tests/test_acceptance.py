@@ -29,7 +29,6 @@ from carpetloop import (
     decide,
     encode_word,
     enumerate_diagrams,
-    induce_diagram,
     make_certificate,
     realize_word,
     refinement_map,
@@ -45,6 +44,7 @@ from carpetloop.serialize import loop_to_json, space_to_json
 from conftest import (
     closed_walk_word,
     cyclically_equal,
+    induce_diagram,
     out_and_back_word,
     realized_loop,
     subset_dp_trivial,
@@ -180,7 +180,7 @@ def test_ac4_thread_compatibility(fc4):
                 if projected.letters != words[i - 1].letters:
                     path = dump_fixture("thread-mismatch", fc4, loop, level=i)
                     raise AssertionError(f"bonding mismatch at level {i}: {path}")
-            piled = trace_trivial(TraceWord.from_cyclic(encode_word(loop, fc4, i)))
+            piled = trace_trivial(encode_word(loop, fc4, i).trace)
             if piled != free.is_identity:
                 path = dump_fixture("verdict-mismatch", fc4, loop, level=i)
                 raise AssertionError(f"trace/free disagreement at level {i}: {path}")
@@ -283,7 +283,7 @@ def test_ac7_structural_invariants(fc2, fc3, fc4):
             _non_crossing_law(word, e.partial or [])
         words += 1
     for _, loop in sample_realized(fc2, 2, rng, closed_walk_word, want=40):
-        word = TraceWord.from_cyclic(encode_word(loop, fc2, 2))
+        word = encode_word(loop, fc2, 2).trace
         _non_crossing_law(word, enumerate_diagrams(word, cap=500))
         words += 1
     return f"{loops_checked} loops refined, {built} homotopies, {words} words"

@@ -240,6 +240,39 @@ class TestCertifyCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "loop_key, tamper",
+        [
+            ("ring", lambda cert: dict(cert, level=1.7)),
+            ("ring", lambda cert: dict(cert, level=True)),
+            (
+                "walk",
+                lambda cert: dict(
+                    cert,
+                    diagrams=[[[a + 0.4, b + 0.3] for a, b in d] for d in cert["diagrams"]],
+                ),
+            ),
+        ],
+        ids=["fractional-level", "boolean-level", "fractional-positions"],
+    )
+    def test_non_integer_certificate_rejected(
+        self, capsys, caplog, files, fc2, tmp_path, loop_key, tamper
+    ):
+        # Each value truncates to the certified one, so only the type
+        # check tells the tampered certificate from the real one.
+        if loop_key == "walk":
+            files["walk"] = write_json(
+                tmp_path / "walk.json", loop_to_json(trivial_walk_loop(fc2, 2))
+            )
+        io = ["--space", files["space"], "--loop", files[loop_key]]
+        code, out = run(capsys, ["certify", *io])
+        assert code == 0
+        assert loop_key == "ring" or any(out["certificate"]["diagrams"])
+        cert = write_json(tmp_path / "cert.json", tamper(out["certificate"]))
+        code, out = run(capsys, ["check", *io, "--cert", cert])
+        assert code == 2 and out == ""
+        assert "bad certificate" in caplog.text
+
     def test_inconclusive_has_no_certificate(self, capsys, files, fc2, tmp_path):
         loop = trivial_walk_loop(fc2, 2)
         path = write_json(tmp_path / "walk.json", loop_to_json(loop))

@@ -20,6 +20,7 @@ from carpetloop import (
     Nontrivial,
     PolyLoop,
     SearchCaps,
+    TraceWord,
     TrivialUpTo,
     central_ring,
     check_certificate,
@@ -206,6 +207,21 @@ class TestCertificates:
         assert isinstance(verdict, TrivialUpTo)
         assert check_certificate(cert, loop, fc3).ok
         assert levels == [1, 2, 3, 1, 2, 3]
+
+    def test_each_level_traced_once(self, fc3, monkeypatch):
+        # The piling, the scheme search and its inductions all read each
+        # level's one trace word, whose generator graph is built once.
+        loop = trivial_loop(fc3, 3, random.Random(83))
+        graph = TraceWord.__dict__["_graph"]
+        build, built = graph.func, []
+        monkeypatch.setattr(graph, "func", lambda w: built.append(w) or build(w))
+        verdict, _ = make_certificate(loop, fc3)
+        assert isinstance(verdict, TrivialUpTo)
+        traces = [w.trace for w in verdict.words]
+        assert len(traces) == 3 and any(len(t) for t in traces)
+        for i, t in enumerate(traces):
+            assert verdict.scheme.words[i] is t
+        assert len(built) == 3 and all(b is t for b, t in zip(built, traces))
 
     def test_inconclusive_has_no_certificate(self, fc2):
         verdict, cert = make_certificate(BAD_DIAGONAL, fc2)

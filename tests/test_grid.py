@@ -11,7 +11,6 @@ from carpetloop import (
     GridSquare,
     LevelOutOfRange,
     PolyLoop,
-    corridor_by_id,
     corridors,
     eligible_squares,
     validate_loop,
@@ -19,7 +18,7 @@ from carpetloop import (
 
 from carpetloop.grid import _corridor_at
 
-from conftest import inner_contains, level_space_contains
+from conftest import corridor_by_id, inner_contains, level_space_contains
 
 pytestmark = []
 

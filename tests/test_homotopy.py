@@ -89,7 +89,7 @@ def homotopies_for(loop, seq, levels):
     for lvl in levels:
         w = words[lvl]
         if w.letters:
-            d = enumerate_diagrams(TraceWord.from_cyclic(w), cap=2000)[0]
+            d = enumerate_diagrams(w.trace, cap=2000)[0]
         else:
             d = CancellationDiagram(frozenset())
         out[lvl] = build_homotopy(
@@ -175,7 +175,7 @@ class TestCellulation:
         rng = random.Random(41)
         loop = sample_loop(fc2, 2, rng)
         w = encode_word(loop, fc2, 2)
-        d = enumerate_diagrams(TraceWord.from_cyclic(w))[0]
+        d = enumerate_diagrams(w.trace)[0]
         cell = build_cellulation(w, d, params=[loop.vertex_param(j) for j in range(len(loop))])
         assert len(cell.bands) == len(d.pairs)
         assert len([n for n in cell.nodes if n.param is not None]) == len(cell.params)
@@ -220,7 +220,7 @@ class TestCellulation:
                 for i in range(1, depth + 1):
                     w = encode_word(loop, seq, i)
                     params = [loop.vertex_param(j) for j in range(len(loop))]
-                    for d in enumerate_diagrams(TraceWord.from_cyclic(w), cap=10**6)[:6]:
+                    for d in enumerate_diagrams(w.trace, cap=10**6)[:6]:
                         got = build_cellulation(w, d, params=params)
                         assert got == recursive_build_cellulation(w, d, params=params)
                         crossings += len(got.crossings)
@@ -319,7 +319,7 @@ class TestBandMembership:
         if nested:
             d = CancellationDiagram.of(*[(k, n - 1 - k) for k in range(n // 2)])
         else:
-            d = first_diagram(TraceWord.from_cyclic(w))
+            d = first_diagram(w.trace)
         params = [loop.vertex_param(j) for j in range(len(loop))]
         assert build_cellulation(w, d, params=params) == recursive_build_cellulation(
             w, d, params=params
@@ -368,7 +368,7 @@ class TestFilling:
         w0 = word_from_letters(unp, 1, [(h, 1), (v, 1), (h, -1), (v, -1)])
         loop = realize_word(w0, unp)
         w = encode_word(loop, unp, 1)
-        (d,) = enumerate_diagrams(TraceWord.from_cyclic(w))
+        (d,) = enumerate_diagrams(w.trace)
         hom = build_homotopy(loop, unp, 1, d, word=w)
         kinds = Counter(hom.target_kinds)
         assert kinds["junction"] == 1
@@ -433,7 +433,7 @@ class TestFilling:
         rng = random.Random(59)
         loop = sample_loop(fc2, 2, rng)
         w = encode_word(loop, fc2, 1)
-        d = enumerate_diagrams(TraceWord.from_cyclic(w))[0]
+        d = enumerate_diagrams(w.trace)[0]
         with pytest.raises(ValueError):
             build_homotopy(loop, fc2, 2, d, word=w)
 

@@ -175,7 +175,7 @@ class TestCorridorWords:
     def _round_trip(self, seq, word):
         back = parse_word(word.text, seq)
         assert back.level == word.level
-        assert back.generator_keys() == word.generator_keys()
+        assert back.trace.letters == word.trace.letters
         assert back.commutes == word.commutes
 
     def test_encoded_word_round_trips(self, fc2):

@@ -17,7 +17,6 @@ from carpetloop import (
     encode_word,
     enumerate_diagrams,
     first_diagram,
-    induce_diagram,
     induces,
     refinement_map,
     trace_trivial,
@@ -35,6 +34,8 @@ from carpetloop import corridors
 from conftest import (
     bfs_trivial,
     closed_walk_word,
+    eager_coherent_scheme,
+    induce_diagram,
     make_trace,
     out_and_back_word,
     random_explicit_space,
@@ -330,7 +331,7 @@ class TestDiagrams:
                 loop = realized_loop(fc4, out_and_back_word(fc4, level, rng, max_len=6))
                 if loop is not None:
                     words += [
-                        TraceWord.from_cyclic(encode_word(loop, fc4, i)) for i in range(1, 5)
+                        encode_word(loop, fc4, i).trace for i in range(1, 5)
                     ]
         found = 0
         for w in words:
@@ -359,7 +360,7 @@ class TestDiagrams:
                 loop = realized_loop(fc4, out_and_back_word(fc4, level, rng, max_len=6))
                 if loop is not None:
                     words += [
-                        TraceWord.from_cyclic(encode_word(loop, fc4, i)) for i in range(1, 5)
+                        encode_word(loop, fc4, i).trace for i in range(1, 5)
                     ]
 
         def outcome(check, w, d):
@@ -458,12 +459,12 @@ class TestInduce:
             w1 = encode_word(loop, fc2, 1)
             w2 = encode_word(loop, fc2, 2)
             corr = refinement_map(w1, w2)
-            fine_diagrams = enumerate_diagrams(TraceWord.from_cyclic(w2), cap=500)
+            fine_diagrams = enumerate_diagrams(w2.trace, cap=500)
             assert fine_diagrams
             for d in fine_diagrams[:5]:
                 coarse = induce_diagram(d, corr)
                 for c in coarse:
-                    assert diagram_valid(TraceWord.from_cyclic(w1), c)
+                    assert diagram_valid(w1.trace, c)
             done += 1
 
 
@@ -485,8 +486,8 @@ class TestInduce:
                     words = [encode_word(loop, seq, i) for i in range(1, 5)]
                     for coarse, fine in zip(words, words[1:]):
                         corr = refinement_map(coarse, fine)
-                        every = enumerate_diagrams(TraceWord.from_cyclic(coarse))
-                        for d in enumerate_diagrams(TraceWord.from_cyclic(fine))[:20]:
+                        every = enumerate_diagrams(coarse.trace)
+                        for d in enumerate_diagrams(fine.trace)[:20]:
                             try:
                                 induced = set(induce_diagram(d, corr))
                             except NoInducedDiagram:
@@ -557,13 +558,75 @@ class TestScheme:
         with pytest.raises(CapExceeded):
             coherent_scheme([w], [], caps=SearchCaps(work=1))
 
+    def test_lazy_induction_matches_eager_oracle(self, fc2, fc3, fc4):
+        # Realized walks, zig-zags and closed walks on full carpets and
+        # random explicit spaces, at the default caps and at one diagram
+        # per level: the same diagrams whenever the eager search returns,
+        # NotFoundError whenever it finds none, and never a cap where it
+        # decides.
+        rng = random.Random(20261018)
+
+        def zigzag(seq, level):
+            walk = out_and_back_word(seq, level, rng)
+            return word_from_letters(seq, level, [(l.corridor, l.sign) for l in walk.letters] * 2)
+
+        walks = (
+            lambda seq, level: out_and_back_word(seq, level, rng, max_len=6),
+            zigzag,
+            lambda seq, level: closed_walk_word(seq, level, rng, wander=8),
+        )
+        spaces = (fc2, fc3, fc4, random_explicit_space(3, rng), random_explicit_space(4, rng))
+        outcomes = {}
+        for seq in spaces:
+            for level in range(2, seq.depth + 1):
+                for walk in walks:
+                    for _ in range(2):
+                        loop = realized_loop(seq, walk(seq, level))
+                        if loop is None:
+                            continue
+                        words = [encode_word(loop, seq, i) for i in range(1, seq.depth + 1)]
+                        refs = [refinement_map(a, b) for a, b in zip(words, words[1:])]
+                        for caps in (SearchCaps(), SearchCaps(per_level=1)):
+                            try:
+                                want = eager_coherent_scheme(words, refs, caps)
+                            except CapExceeded:
+                                kind = "eager cap"  # the lazy search may still decide
+                            except NotFoundError:
+                                kind = "not found"
+                                with pytest.raises(NotFoundError):
+                                    coherent_scheme(words, refs, caps)
+                            else:
+                                kind = "decided"
+                                got = coherent_scheme(words, refs, caps)
+                                assert got.diagrams == want.diagrams, words[-1].text
+                                assert got.verify(refs)
+                            outcomes[caps.per_level, kind] = outcomes.get((caps.per_level, kind), 0) + 1
+        assert outcomes[100_000, "decided"] > 40, outcomes
+        assert outcomes[1, "decided"] > 20, outcomes
+        assert outcomes[100_000, "not found"] > 5, outcomes
+
+    def test_induced_diagrams_tried_lazily(self, fc1, fc2):
+        # The first fine diagram joins no two end letters, so both coarse
+        # diagrams are induced: listing them overflows one diagram per
+        # level, while trying them stops at the first, which chains.
+        corr = _synthetic_pair(
+            fc1, fc2, (1, -1, 1, -1), ((0, 0), (2, 2), (4, 4), (6, 6)), fine_len=8
+        )
+        words, refs = [corr.coarse_word, corr.fine_word], [corr]
+        caps = SearchCaps(per_level=1)
+        with pytest.raises(CapExceeded):
+            eager_coherent_scheme(words, refs, caps)
+        scheme = coherent_scheme(words, refs, caps)
+        assert scheme.diagrams[0] == CancellationDiagram.of((0, 1), (2, 3))
+        assert scheme.verify(refs)
+
     def test_verify_rejects_wrong_links(self, fc1, fc2):
         corr = _synthetic_pair(
             fc1, fc2, (1, -1, 1, -1), ((0, 1), (3, 5), (7, 9), (11, 12))
         )
         fine_tokens = KNOT_TOKENS
         fine_tw = make_trace(fine_tokens, KNOT_RELATION)
-        coarse_tw = TraceWord.from_cyclic(corr.coarse_word)
+        coarse_tw = corr.coarse_word.trace
         good = CoherentScheme(
             (coarse_tw, fine_tw),
             (CancellationDiagram.of((0, 1), (2, 3)), KNOT_DIAGRAM),
