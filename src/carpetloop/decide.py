@@ -171,6 +171,13 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_flag(x) -> Optional[bool]:
+    """A JSON bool or null as is; a number, a string or anything else is a TypeError."""
+    if x is not None and type(x) is not bool:
+        raise TypeError(f"expected true, false or null, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Replayable evidence for a verdict, bound to its inputs by hash."""
@@ -212,7 +219,7 @@ class Certificate:
                 tuple((_json_int(a), _json_int(b)) for a, b in d)
                 for d in data.get("diagrams", [])
             ),
-            conclusive=data.get("conclusive"),
+            conclusive=_json_flag(data.get("conclusive")),
         )
 
 

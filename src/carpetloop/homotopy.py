@@ -21,7 +21,9 @@ map, so the boundary condition holds exactly at every parameter.
 
 Floats only filter: padded float boxes and float orientation signs with
 a certified margin rule out candidates that provably miss, and every
-candidate they keep is decided in exact rational arithmetic.
+candidate they keep is decided exactly.  The convergence gap decides its
+crossings, locations and values in integers over homogeneous coordinates,
+and containment finds its candidate squares by integer floor division.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
@@ -44,13 +47,15 @@ QUARTERS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def circle_point(t: Fraction) -> Point:
-    """Monotone rational parameterization of the unit circle, t in [0,1)."""
-    t = _mod1(t)
-    q = (4 * t).numerator // (4 * t).denominator
-    u = 4 * t - q
-    den = 1 + u * u
-    x, y = (1 - u * u) / den, 2 * u / den
-    for _ in range(q):
+    """Monotone rational parameterization of the unit circle, t in [0,1).
+
+    With 4t = q + u, u = p/b, the point ((b^2-p^2), 2pb) / (b^2+p^2)
+    turned q quarters."""
+    q, p = divmod(4 * t.numerator, t.denominator)
+    b = t.denominator
+    den = b * b + p * p
+    x, y = Fraction(b * b - p * p, den), Fraction(2 * p * b, den)
+    for _ in range(q % 4):
         x, y = -y, x
     return (x, y)
 
@@ -74,52 +79,47 @@ def circle_param(p: Point) -> Fraction:
 # Small exact-geometry helpers
 
 
-def _homogeneous(p: Point) -> tuple[int, int, int]:
-    """Integers (x*w, y*w, w) for the point (x, y), with w > 0."""
+# The triple of integers (X, Y, W), W != 0, is the point (X/W, Y/W); its
+# canonical triple (W > 0, gcd 1) is the point's exact identity.
+Homogeneous = tuple[int, int, int]
+
+
+def _homogeneous(p: Point) -> Homogeneous:
+    """The canonical triple of a rational point: W is the lcm of its denominators."""
     x, y = p
-    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+    w = lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Exact (a - o) x (b - o).
+def _lowest(x: int, y: int, w: int) -> Homogeneous:
+    """The canonical triple of the point (x/w, y/w)."""
+    g = gcd(x, y, w)
+    if w < 0:
+        g = -g
+    return x // g, y // g, w // g
 
-    Summed in integers as the determinant of the three points in
-    homogeneous coordinates, which skips the gcd that every Fraction
-    operation pays; one division normalizes the result.
-    """
-    xo, yo, wo = _homogeneous(o)
-    xa, ya, wa = _homogeneous(a)
-    xb, yb, wb = _homogeneous(b)
-    return Fraction(
-        xo * (ya * wb - yb * wa) - yo * (xa * wb - xb * wa) + wo * (xa * yb - xb * ya),
-        wo * wa * wb,
-    )
+
+def _point(p: Homogeneous) -> Point:
+    return Fraction(p[0], p[2]), Fraction(p[1], p[2])
+
+
+def _det(o: Homogeneous, a: Homogeneous, b: Homogeneous) -> int:
+    """Determinant of three homogeneous points: (a - o) x (b - o) times Wo Wa Wb."""
+    xo, yo, wo = o
+    xa, ya, wa = a
+    xb, yb, wb = b
+    return xo * (ya * wb - yb * wa) - yo * (xa * wb - xb * wa) + wo * (xa * yb - xb * ya)
+
+
+def _between(p: Homogeneous, q: Homogeneous, n: int, d: int) -> Homogeneous:
+    """p + (n/d)(q - p), not reduced."""
+    k, l = (d - n) * q[2], n * p[2]
+    return k * p[0] + l * q[0], k * p[1] + l * q[1], d * p[2] * q[2]
 
 
 def _centroid(points: Sequence[Point]) -> Point:
     n = len(points)
-    return (
-        sum(p[0] for p in points) / n,
-        sum(p[1] for p in points) / n,
-    )
-
-
-def _point_in_triangle(tri: Sequence[Point], p: Point) -> bool:
-    s0 = _cross(tri[0], tri[1], p)
-    s1 = _cross(tri[1], tri[2], p)
-    s2 = _cross(tri[2], tri[0], p)
-    return (s0 >= 0 and s1 >= 0 and s2 >= 0) or (s0 <= 0 and s1 <= 0 and s2 <= 0)
-
-
-def _affine_in_triangle(dom: Sequence[Point], val: Sequence[Point], p: Point) -> Point:
-    (ax, ay), (bx, by), (cx, cy) = dom
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    u = ((p[0] - ax) * (cy - ay) - (p[1] - ay) * (cx - ax)) / det
-    v = ((bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)) / det
-    return (
-        val[0][0] + u * (val[1][0] - val[0][0]) + v * (val[2][0] - val[0][0]),
-        val[0][1] + u * (val[1][1] - val[0][1]) + v * (val[2][1] - val[0][1]),
-    )
+    return sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
 
 
 def _lerp(p: Point, q: Point, t: Fraction) -> Point:
@@ -136,12 +136,11 @@ def _segments_cross(
     an endpoint (a shared endpoint, an endpoint on the other segment) and
     any collinear contact returns None.
     """
-    d1 = _cross(a, b, c)
-    d2 = _cross(a, b, d)
-    d3 = _cross(c, d, a)
-    d4 = _cross(c, d, b)
+    a, b, c, d = map(_homogeneous, (a, b, c, d))
+    d1, d2, d3, d4 = _det(a, b, c), _det(a, b, d), _det(c, d, a), _det(c, d, b)
     if d1 * d2 < 0 and d3 * d4 < 0:
-        return d3 / (d3 - d4), d1 / (d1 - d2)
+        s, t = d3 * b[2], d1 * d[2]
+        return Fraction(s, s - d4 * a[2]), Fraction(t, t - d2 * c[2])
     return None
 
 
@@ -158,7 +157,7 @@ _BOX_PAD = 1e-9
 
 
 def _float_orient(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> int:
-    """Sign of _cross(o, a, b) when floats certify it, else 0."""
+    """Sign of (a - o) x (b - o) when floats certify it, else 0."""
     d = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
     if d > _ORIENT_MARGIN:
         return 1
@@ -462,33 +461,15 @@ class LevelHomotopy:
 
     @cached_property
     def _triangles(self) -> list:
-        """The map's non-degenerate (domain, values) triangles, in fill order."""
-        return [
-            (dom, val)
-            for fill in self.fills
-            for dom, val in fill.triangles
-            if _cross(dom[0], dom[1], dom[2]) != 0
-        ]
-
-    @cached_property
-    def _face_buckets(self) -> dict[tuple[int, int], list]:
-        """Bucketed triangle lookup for repeated pointwise evaluation.
-
-        Buckets are keyed by a coarse float grid over the disk; each
-        triangle is filed under every bucket its padded float box touches,
-        so a lookup never misses the true containing face and every
-        candidate is re-tested exactly.  Insertion follows fill order,
-        keeping the same first-match tie break as a linear scan for points
-        on shared edges.
-        """
-        buckets: dict[tuple[int, int], list] = {}
-        for tri in self._triangles:
-            xs = [float(q[0]) for q in tri[0]]
-            ys = [float(q[1]) for q in tri[0]]
-            for bx in range(_bucket_of(min(xs) - _BOX_PAD), _bucket_of(max(xs) + _BOX_PAD) + 1):
-                for by in range(_bucket_of(min(ys) - _BOX_PAD), _bucket_of(max(ys) + _BOX_PAD) + 1):
-                    buckets.setdefault((bx, by), []).append(tri)
-        return buckets
+        """The map's non-degenerate triangles in fill order, as canonical
+        homogeneous (domain, values) triples."""
+        out = []
+        for fill in self.fills:
+            for dom, val in fill.triangles:
+                dom = tuple(map(_homogeneous, dom))
+                if _det(*dom):
+                    out.append((dom, tuple(map(_homogeneous, val))))
+        return out
 
 
 def _chord_constants(
@@ -616,20 +597,20 @@ def _minkowski(h: LevelHomotopy, z: Point) -> Fraction:
     raise AssertionError("no polygon sector contains the direction of z")
 
 
-_EVAL_GRID = 16
-
-
-def _bucket_of(t: float) -> int:
-    b = int((t + 1.0) * _EVAL_GRID / 2.0)
-    return min(_EVAL_GRID - 1, max(0, b))
-
-
-def _eval_in_polygon(h: LevelHomotopy, p: Point) -> Point:
-    key = (_bucket_of(float(p[0])), _bucket_of(float(p[1])))
-    for dom, val in h._face_buckets.get(key, ()):
-        if _point_in_triangle(dom, p):
-            return _affine_in_triangle(dom, val, p)
-    raise AssertionError(f"point {p} not covered by any face")
+def _eval_in_polygon(h: LevelHomotopy, p: Homogeneous) -> Homogeneous:
+    """The map's value at p, from the first triangle in fill order that holds it;
+    the determinants locating p are its barycentric weights, times W factors."""
+    for (a, b, c), (va, vb, vc) in h._triangles:
+        s0, s1, s2 = _det(b, c, p), _det(c, a, p), _det(a, b, p)
+        if (s0 >= 0 and s1 >= 0 and s2 >= 0) or (s0 <= 0 and s1 <= 0 and s2 <= 0):
+            ka, kb = s0 * a[2] * vb[2] * vc[2], s1 * b[2] * va[2] * vc[2]
+            kc = s2 * c[2] * va[2] * vb[2]
+            return (
+                ka * va[0] + kb * vb[0] + kc * vc[0],
+                ka * va[1] + kb * vb[1] + kc * vc[1],
+                (s0 * a[2] + s1 * b[2] + s2 * c[2]) * va[2] * vb[2] * vc[2],
+            )
+    raise AssertionError(f"point {_point(p)} not covered by any face")
 
 
 def evaluate(h: LevelHomotopy, z: tuple) -> Point:
@@ -646,7 +627,7 @@ def evaluate(h: LevelHomotopy, z: tuple) -> Point:
         return h.loop.point_at(circle_param((x, y)))
     mu = _minkowski(h, (x, y))
     p = (x, y) if mu <= 1 else (x / mu, y / mu)
-    return _eval_in_polygon(h, p)
+    return _point(_eval_in_polygon(h, _homogeneous(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +698,20 @@ def _triangle_meets_open_rect(tri: Sequence[Point], rect: Rect) -> Optional[Poin
 def _triangle_hole_hit(
     tri: Sequence[Point], seq: DefiningSequence, i: int
 ) -> Optional[Point]:
-    x0 = min(p[0] for p in tri)
-    x1 = max(p[0] for p in tri)
-    y0 = min(p[1] for p in tri)
-    y1 = max(p[1] for p in tri)
+    """A point of the triangle strictly inside a removed square, or None.
+
+    The level-s squares ((2k-1)/3^s, 2k/3^s) x ((2m-1)/3^s, 2m/3^s) that can
+    meet the triangle's box come from floor divisions of its bounds."""
+    x0n, x0d = min(p[0] for p in tri).as_integer_ratio()
+    x1n, x1d = max(p[0] for p in tri).as_integer_ratio()
+    y0n, y0d = min(p[1] for p in tri).as_integer_ratio()
+    y1n, y1d = max(p[1] for p in tri).as_integer_ratio()
     for s in range(1, i + 1):
         n = _pow3(s)
-        k_lo = max(1, -((-(x0 * n).numerator) // ((x0 * n).denominator * 2)))
-        k_hi = min((n - 1) // 2, ((x1 * n + 1) / 2).__floor__())
-        m_lo = max(1, -((-(y0 * n).numerator) // ((y0 * n).denominator * 2)))
-        m_hi = min((n - 1) // 2, ((y1 * n + 1) / 2).__floor__())
+        k_lo = max(1, -((-x0n * n) // (2 * x0d)))
+        k_hi = min((n - 1) // 2, (x1n * n + x1d) // (2 * x1d))
+        m_lo = max(1, -((-y0n * n) // (2 * y0d)))
+        m_hi = min((n - 1) // 2, (y1n * n + y1d) // (2 * y1d))
         for k in range(k_lo, k_hi + 1):
             for m in range(m_lo, m_hi + 1):
                 if not seq.has_hole(s, k, m):
@@ -779,32 +764,34 @@ class GapReport:
     pairs_checked: int  # edge pairs that reached the exact crossing test
 
 
-def _point_key(p: Point) -> tuple[int, int, int, int]:
-    """Exact identity of a point; hashes faster than a pair of Fractions."""
-    return (p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator)
+_GRID = 16  # buckets per side of the gap's float grid over [-1, 1]^2
+
+
+def _bucket_of(t: float) -> int:
+    b = int((t + 1.0) * _GRID / 2.0)
+    return min(_GRID - 1, max(0, b))
 
 
 def _overlay_index(
-    h: LevelHomotopy, ids: dict[tuple[int, int, int, int], int], points: list
-) -> tuple[dict[int, Point], dict[tuple[int, int], None]]:
+    h: LevelHomotopy, ids: dict[Homogeneous, int], points: list
+) -> tuple[dict[int, Homogeneous], dict[tuple[int, int], None]]:
     """Distinct vertices with their values, and unique edges, of the mesh.
 
-    Vertex ids are shared through `ids` by the two meshes of a gap;
-    `points` holds each id's point and its floats.  Edges are id pairs,
-    kept in fill order.
+    Vertex ids are shared through `ids`, keyed by canonical triple, by
+    the two meshes of a gap; `points` holds each id's triple and its
+    floats.  Edges are id pairs, kept in fill order.
     """
-    values: dict[int, Point] = {}
+    values: dict[int, Homogeneous] = {}
     edges: dict[tuple[int, int], None] = {}
     for dom, val in h._triangles:
         js = []
         for p, v in zip(dom, val):
-            k = _point_key(p)
-            j = ids.get(k)
+            j = ids.get(p)
             if j is None:
-                j = ids[k] = len(points)
-                points.append((p, float(p[0]), float(p[1])))
+                j = ids[p] = len(points)
+                points.append((p, p[0] / p[2], p[1] / p[2]))
             if values.setdefault(j, v) != v:
-                raise AssertionError(f"map takes two values at mesh vertex {p}")
+                raise AssertionError(f"map takes two values at mesh vertex {_point(p)}")
             js.append(j)
         for a, b in ((js[0], js[1]), (js[1], js[2]), (js[2], js[0])):
             edges[(a, b) if a < b else (b, a)] = None
@@ -823,8 +810,9 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
     crossings of one mesh's edges with the other's; touching and
     collinear contacts are mesh vertices already.  Padded float boxes
     and certified float orientations only reject edge pairs; every
-    inclusion, crossing and value is exact, each distinct corner is
-    evaluated once, and the maximum is exact.  Outside the polygon both
+    inclusion, crossing and value is an integer determinant or ratio over
+    homogeneous coordinates, each distinct corner is evaluated once, and
+    the maximum is exact.  Outside the polygon both
     maps collapse radially to identical boundary values, so the annulus
     contributes nothing.
     """
@@ -839,20 +827,22 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
             "different disk polygons; rebuild with shared extra_params"
         )
 
-    ids: dict[tuple[int, int, int, int], int] = {}
-    points: list[tuple[Point, float, float]] = []
+    ids: dict[Homogeneous, int] = {}
+    points: list[tuple[Homogeneous, float, float]] = []
     values1, edges1 = _overlay_index(h1, ids, points)
     values2, edges2 = _overlay_index(h2, ids, points)
 
-    max_sq = Fraction(0)
-    witness: Optional[Point] = None
+    # The running maximum of |v1 - v2|^2 as the integer ratio num/den.
+    num, den = 0, 1
+    witness: Optional[Homogeneous] = None
 
-    def consider(p: Point, v1: Point, v2: Point) -> None:
-        nonlocal max_sq, witness
-        d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
-        if d > max_sq:
-            max_sq = d
-            witness = p
+    def consider(p: Homogeneous, v1: Homogeneous, v2: Homogeneous) -> None:
+        nonlocal num, den, witness
+        dx = v1[0] * v2[2] - v2[0] * v1[2]
+        dy = v1[1] * v2[2] - v2[1] * v1[2]
+        n, d = dx * dx + dy * dy, (v1[2] * v2[2]) ** 2
+        if n * den > num * d:
+            num, den, witness = n, d, p
 
     # Vertex corners.  The maps are continuous, so any triangle holding a
     # point gives its value; a vertex of both meshes needs no search.
@@ -873,20 +863,22 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
         u0, u1 = min(cx, dx) - _BOX_PAD, max(cx, dx) + _BOX_PAD
         v0, v1 = min(cy, dy) - _BOX_PAD, max(cy, dy) + _BOX_PAD
         entry = (n, c, d, cx, cy, dx, dy, u0, u1, v0, v1)
+        ys = range(_bucket_of(v0), _bucket_of(v1) + 1)
         for gx in range(_bucket_of(u0), _bucket_of(u1) + 1):
-            for gy in range(_bucket_of(v0), _bucket_of(v1) + 1):
+            for gy in ys:
                 grid.setdefault((gx, gy), []).append(entry)
 
     pairs_checked = 0
-    crossings: set[tuple[int, int, int, int]] = set()
+    crossings: set[Homogeneous] = set()
     seen = [-1] * len(edges2)  # last first-mesh edge that met each edge
     for m, (a, b) in enumerate(edges1):
         pa, ax, ay = points[a]
         pb, bx, by = points[b]
         x0, x1 = min(ax, bx) - _BOX_PAD, max(ax, bx) + _BOX_PAD
         y0, y1 = min(ay, by) - _BOX_PAD, max(ay, by) + _BOX_PAD
+        ys = range(_bucket_of(y0), _bucket_of(y1) + 1)
         for gx in range(_bucket_of(x0), _bucket_of(x1) + 1):
-            for gy in range(_bucket_of(y0), _bucket_of(y1) + 1):
+            for gy in ys:
                 for n, c, d, cx, cy, dx, dy, u0, u1, v0, v1 in grid.get((gx, gy), ()):
                     if seen[n] == m:
                         continue
@@ -902,27 +894,34 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
                     if s and s == _float_orient(cx, cy, dx, dy, bx, by):
                         continue
                     pairs_checked += 1
-                    st = _segments_cross(pa, pb, points[c][0], points[d][0])
-                    if st is None:
+                    pc, pd = points[c][0], points[d][0]
+                    d1, d2 = _det(pa, pb, pc), _det(pa, pb, pd)
+                    if d1 * d2 >= 0:
                         continue
-                    x = _lerp(pa, pb, st[0])
-                    k = _point_key(x)
-                    if k in ids or k in crossings:
+                    d3, d4 = _det(pc, pd, pa), _det(pc, pd, pb)
+                    if d3 * d4 >= 0:
                         continue
-                    crossings.add(k)
-                    # Each map is affine along its edge.
+                    # A proper crossing, at s along the first edge and t
+                    # along the second; each map is affine along its edge.
+                    sn, sd = d3 * pb[2], d3 * pb[2] - d4 * pa[2]
+                    tn, td = d1 * pd[2], d1 * pd[2] - d2 * pc[2]
+                    x = _lowest(*_between(pa, pb, sn, sd))
+                    if x in ids or x in crossings:
+                        continue
+                    crossings.add(x)
                     consider(
                         x,
-                        _lerp(values1[a], values1[b], st[0]),
-                        _lerp(values2[c], values2[d], st[1]),
+                        _between(values1[a], values1[b], sn, sd),
+                        _between(values2[c], values2[d], tn, td),
                     )
 
+    max_sq = Fraction(num, den)
     bound = Fraction(6, _pow3(h1.level))
     return GapReport(
         level_pair=(h1.level, h2.level),
         max_sq=max_sq,
         bound=bound,
         holds=max_sq <= bound * bound,
-        witness=witness,
+        witness=None if witness is None else _point(witness),
         pairs_checked=pairs_checked,
     )

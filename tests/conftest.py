@@ -47,7 +47,7 @@ from carpetloop.errors import (
     RefinementViolation,
     Unroutable,
 )
-from carpetloop.grid import _corridor_at, _pow3
+from carpetloop.grid import Point, _corridor_at, _pow3
 from carpetloop.homotopy import (
     QUARTERS,
     Band,
@@ -55,10 +55,14 @@ from carpetloop.homotopy import (
     Cellulation,
     Face,
     Node,
+    ContainmentReport,
+    GapReport,
+    _BOX_PAD,
+    _bucket_of,
     _centroid,
-    _cross,
+    _float_orient,
     _lerp,
-    _segments_cross,
+    _triangle_meets_open_rect,
     circle_point,
 )
 from carpetloop.serialize import FormatError, parse_frac
@@ -736,6 +740,218 @@ def gap_oracle(h1, h2):
                 if d > max_sq:
                     max_sq, witness = d, p
     return max_sq, witness
+
+
+# ---------------------------------------------------------------------------
+# Rational-arithmetic oracles: the circle map, the convergence gap and the
+# containment check as they were before they worked in integers
+
+
+def fraction_circle_point(t: Fraction) -> Point:
+    """`homotopy.circle_point` in Fraction arithmetic."""
+    t = t - (t.numerator // t.denominator)
+    q = (4 * t).numerator // (4 * t).denominator
+    u = 4 * t - q
+    den = 1 + u * u
+    x, y = (1 - u * u) / den, 2 * u / den
+    for _ in range(q):
+        x, y = -y, x
+    return (x, y)
+
+
+def _segments_cross(a, b, c, d):
+    """Parameters (s, t) of a proper crossing a+s(b-a) = c+t(d-c), else None."""
+    d1 = _cross(a, b, c)
+    d2 = _cross(a, b, d)
+    d3 = _cross(c, d, a)
+    d4 = _cross(c, d, b)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return d3 / (d3 - d4), d1 / (d1 - d2)
+    return None
+
+
+def _fraction_triangles(h) -> list:
+    """The map's non-degenerate (domain, values) triangles, in fill order."""
+    return [
+        (dom, val)
+        for fill in h.fills
+        for dom, val in fill.triangles
+        if _cross(dom[0], dom[1], dom[2]) != 0
+    ]
+
+
+def _fraction_eval_in_polygon(h, p):
+    """The value from the first triangle in fill order that holds p."""
+    for dom, val in _fraction_triangles(h):
+        if _in_triangle(dom, p):
+            return _affine_value(dom, val, p)
+    raise AssertionError(f"point {p} not covered by any face")
+
+
+def _point_key(p) -> tuple[int, int, int, int]:
+    """Exact identity of a point; hashes faster than a pair of Fractions."""
+    return (p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator)
+
+
+def _overlay_index(h, ids, points):
+    """Distinct vertices with their values, and unique edges, of the mesh.
+
+    Vertex ids are shared through `ids` by the two meshes of a gap;
+    `points` holds each id's point and its floats.  Edges are id pairs,
+    kept in fill order.
+    """
+    values = {}
+    edges = {}
+    for dom, val in _fraction_triangles(h):
+        js = []
+        for p, v in zip(dom, val):
+            k = _point_key(p)
+            j = ids.get(k)
+            if j is None:
+                j = ids[k] = len(points)
+                points.append((p, float(p[0]), float(p[1])))
+            if values.setdefault(j, v) != v:
+                raise AssertionError(f"map takes two values at mesh vertex {p}")
+            js.append(j)
+        for a, b in ((js[0], js[1]), (js[1], js[2]), (js[2], js[0])):
+            edges[(a, b) if a < b else (b, a)] = None
+    return values, edges
+
+
+def fraction_convergence_gap(h1, h2) -> GapReport:
+    """`homotopy.convergence_gap` with every exact step in Fractions.
+
+    The same edge-pair overlay over the same float filters and the same
+    bucket order; crossings are `_segments_cross` and `_lerp`, corners
+    keyed by `_point_key`.  The caller checks compatibility.
+    """
+    ids = {}
+    points = []
+    values1, edges1 = _overlay_index(h1, ids, points)
+    values2, edges2 = _overlay_index(h2, ids, points)
+
+    max_sq = Fraction(0)
+    witness = None
+
+    def consider(p, v1, v2) -> None:
+        nonlocal max_sq, witness
+        d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
+        if d > max_sq:
+            max_sq = d
+            witness = p
+
+    for j, v1 in values1.items():
+        p = points[j][0]
+        v2 = values2.get(j)
+        consider(p, v1, v2 if v2 is not None else _fraction_eval_in_polygon(h2, p))
+    for j, v2 in values2.items():
+        if j not in values1:
+            p = points[j][0]
+            consider(p, _fraction_eval_in_polygon(h1, p), v2)
+
+    grid = {}
+    for n, (c, d) in enumerate(edges2):
+        _, cx, cy = points[c]
+        _, dx, dy = points[d]
+        u0, u1 = min(cx, dx) - _BOX_PAD, max(cx, dx) + _BOX_PAD
+        v0, v1 = min(cy, dy) - _BOX_PAD, max(cy, dy) + _BOX_PAD
+        entry = (n, c, d, cx, cy, dx, dy, u0, u1, v0, v1)
+        for gx in range(_bucket_of(u0), _bucket_of(u1) + 1):
+            for gy in range(_bucket_of(v0), _bucket_of(v1) + 1):
+                grid.setdefault((gx, gy), []).append(entry)
+
+    pairs_checked = 0
+    crossings = set()
+    seen = [-1] * len(edges2)
+    for m, (a, b) in enumerate(edges1):
+        pa, ax, ay = points[a]
+        pb, bx, by = points[b]
+        x0, x1 = min(ax, bx) - _BOX_PAD, max(ax, bx) + _BOX_PAD
+        y0, y1 = min(ay, by) - _BOX_PAD, max(ay, by) + _BOX_PAD
+        for gx in range(_bucket_of(x0), _bucket_of(x1) + 1):
+            for gy in range(_bucket_of(y0), _bucket_of(y1) + 1):
+                for n, c, d, cx, cy, dx, dy, u0, u1, v0, v1 in grid.get((gx, gy), ()):
+                    if seen[n] == m:
+                        continue
+                    seen[n] = m
+                    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+                        continue
+                    if a == c or a == d or b == c or b == d:
+                        continue
+                    s = _float_orient(ax, ay, bx, by, cx, cy)
+                    if s and s == _float_orient(ax, ay, bx, by, dx, dy):
+                        continue
+                    s = _float_orient(cx, cy, dx, dy, ax, ay)
+                    if s and s == _float_orient(cx, cy, dx, dy, bx, by):
+                        continue
+                    pairs_checked += 1
+                    st = _segments_cross(pa, pb, points[c][0], points[d][0])
+                    if st is None:
+                        continue
+                    x = _lerp(pa, pb, st[0])
+                    k = _point_key(x)
+                    if k in ids or k in crossings:
+                        continue
+                    crossings.add(k)
+                    consider(
+                        x,
+                        _lerp(values1[a], values1[b], st[0]),
+                        _lerp(values2[c], values2[d], st[1]),
+                    )
+
+    bound = Fraction(6, _pow3(h1.level))
+    return GapReport(
+        level_pair=(h1.level, h2.level),
+        max_sq=max_sq,
+        bound=bound,
+        holds=max_sq <= bound * bound,
+        witness=witness,
+        pairs_checked=pairs_checked,
+    )
+
+
+def _triangle_hole_hit(tri, seq, i):
+    x0 = min(p[0] for p in tri)
+    x1 = max(p[0] for p in tri)
+    y0 = min(p[1] for p in tri)
+    y1 = max(p[1] for p in tri)
+    for s in range(1, i + 1):
+        n = _pow3(s)
+        k_lo = max(1, -((-(x0 * n).numerator) // ((x0 * n).denominator * 2)))
+        k_hi = min((n - 1) // 2, ((x1 * n + 1) / 2).__floor__())
+        m_lo = max(1, -((-(y0 * n).numerator) // ((y0 * n).denominator * 2)))
+        m_hi = min((n - 1) // 2, ((y1 * n + 1) / 2).__floor__())
+        for k in range(k_lo, k_hi + 1):
+            for m in range(m_lo, m_hi + 1):
+                if not seq.has_hole(s, k, m):
+                    continue
+                rect = (
+                    Fraction(2 * k - 1, n),
+                    Fraction(2 * k, n),
+                    Fraction(2 * m - 1, n),
+                    Fraction(2 * m, n),
+                )
+                hit = _triangle_meets_open_rect(tri, rect)
+                if hit is not None:
+                    return hit
+    return None
+
+
+def fraction_verify_containment(h) -> ContainmentReport:
+    """`homotopy.verify_containment` with Fraction candidate bounds."""
+    violations = []
+    for fill in h.fills:
+        for _, val in fill.triangles:
+            hit = _triangle_hole_hit(val, h.seq, h.level)
+            if hit is not None:
+                violations.append((fill.face, hit))
+                break
+    return ContainmentReport(
+        ok=not violations,
+        level=h.level,
+        exact_faces=len(h.fills),
+        violations=tuple(violations),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,25 @@ class TestCertifyCheck:
                     diagrams=[[[a + 0.4, b + 0.3] for a, b in d] for d in cert["diagrams"]],
                 ),
             ),
+            ("walk", lambda cert: dict(cert, conclusive=1)),
+            ("walk", lambda cert: dict(cert, conclusive=1.0)),
+            ("walk", lambda cert: dict(cert, conclusive="true")),
         ],
-        ids=["fractional-level", "boolean-level", "fractional-positions"],
+        ids=[
+            "fractional-level",
+            "boolean-level",
+            "fractional-positions",
+            "integer-conclusive",
+            "float-conclusive",
+            "string-conclusive",
+        ],
     )
     def test_non_integer_certificate_rejected(
         self, capsys, caplog, files, fc2, tmp_path, loop_key, tamper
     ):
-        # Each value truncates to the certified one, so only the type
-        # check tells the tampered certificate from the real one.
+        # Each number truncates to or equals the certified value, so
+        # only the type check tells the tampered certificate from the
+        # real one.
         if loop_key == "walk":
             files["walk"] = write_json(
                 tmp_path / "walk.json", loop_to_json(trivial_walk_loop(fc2, 2))
@@ -268,6 +279,7 @@ class TestCertifyCheck:
         code, out = run(capsys, ["certify", *io])
         assert code == 0
         assert loop_key == "ring" or any(out["certificate"]["diagrams"])
+        assert out["certificate"]["conclusive"] is (None if loop_key == "ring" else True)
         cert = write_json(tmp_path / "cert.json", tamper(out["certificate"]))
         code, out = run(capsys, ["check", *io, "--cert", cert])
         assert code == 2 and out == ""

@@ -44,7 +44,6 @@ from carpetloop import homotopy
 from carpetloop.homotopy import (
     FaceFill,
     Target,
-    _cross,
     _float_orient,
     _free_target,
     _segments_cross,
@@ -53,8 +52,12 @@ from carpetloop.grid import _segment_cells
 from carpetloop.serialize import loop_from_json
 
 from conftest import (
+    _cross,
     classify_squares,
     closed_walk_word,
+    fraction_circle_point,
+    fraction_convergence_gap,
+    fraction_verify_containment,
     gap_oracle,
     out_and_back_word,
     random_explicit_space,
@@ -151,6 +154,16 @@ class TestClassify:
 
 
 class TestCircleMap:
+    def test_matches_fraction_oracle(self):
+        # Quadrant boundaries, negative parameters and t >= 1 included.
+        rng = random.Random(101)
+        ts = [F(k, 8) for k in range(-16, 25)]
+        while len(ts) < 20_000:
+            den = rng.randint(1, 10 ** rng.randint(1, 12))
+            ts.append(F(rng.randint(-3 * den, 3 * den), den))
+        for t in ts:
+            assert circle_point(t) == fraction_circle_point(t), t
+
     def test_round_trip_exact(self):
         for t in (F(0), F(1, 8), F(1, 3), F(9, 17), F(3, 4), F(123, 124)):
             p = circle_point(t)
@@ -547,22 +560,28 @@ def _with_triangles(h, tris):
     return replace(h, fills=(FaceFill(0, Target("rect"), tuple(tris)),))
 
 
+def explicit_walk_homotopies(depth):
+    """Fillings of a contractible closed walk whose level-depth disk has junction faces.
+
+    Closed walks in spaces that keep some odd-odd cells may cross
+    corridors that commute; draws until the disk has crossing chords.
+    """
+    rng = random.Random(97 + depth)
+    for _ in range(200):
+        seq = random_explicit_space(depth, rng)
+        loop = realized_loop(seq, closed_walk_word(seq, depth, rng, wander=4))
+        if loop is None or not isinstance(decide(loop, seq), TrivialUpTo):
+            continue
+        homs = homotopies_for(loop, seq, range(1, depth + 1))
+        if homs[depth].cellulation.crossings:
+            return homs
+    pytest.fail("no contractible walk with crossing chords drawn")
+
+
 class TestGapOverlay:
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_matches_oracle_on_explicit_spaces(self, depth):
-        # Closed walks in spaces that keep some odd-odd cells may cross
-        # corridors that commute; draw until the disk has junction faces.
-        rng = random.Random(97 + depth)
-        for _ in range(200):
-            seq = random_explicit_space(depth, rng)
-            loop = realized_loop(seq, closed_walk_word(seq, depth, rng, wander=4))
-            if loop is None or not isinstance(decide(loop, seq), TrivialUpTo):
-                continue
-            homs = homotopies_for(loop, seq, range(1, depth + 1))
-            if homs[depth].cellulation.crossings:
-                break
-        else:
-            pytest.fail("no contractible walk with crossing chords drawn")
+        homs = explicit_walk_homotopies(depth)
         for lvl in range(1, depth):
             assert_gap_matches_oracle(homs[lvl], homs[lvl + 1])
 
@@ -643,6 +662,7 @@ class TestGapOverlay:
         assert g.max_sq == gap_oracle(h1, h2)[0] == F(1, 100)
         assert g.witness == q2
         assert g.pairs_checked > 0
+        assert g == fraction_convergence_gap(h1, h2)
 
     def test_proper_crossing_is_the_maximum(self, fc2):
         # The meshes cut the square along opposite diagonals and push
@@ -669,3 +689,71 @@ class TestGapOverlay:
         g = convergence_gap(h1, h2)
         assert g.max_sq == gap_oracle(h1, h2)[0] == F(4, 100)
         assert g.witness == (F(0), F(0))
+        assert g == fraction_convergence_gap(h1, h2)
+
+
+def assert_reports_match_fraction_oracle(hs):
+    """Whole containment and gap reports equal their Fraction predecessors'."""
+    for h in hs:
+        assert verify_containment(h) == fraction_verify_containment(h)
+    for a, b in zip(hs, hs[1:]):
+        assert convergence_gap(a, b) == fraction_convergence_gap(a, b)
+
+
+def defined_in(source) -> set[str]:
+    tree = ast.parse(inspect.getsource(source))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+class TestIntegerKernels:
+    """Gap and containment in integers agree with the Fraction oracles."""
+
+    def test_ac6_walks(self, fc4):
+        # Filled from the decided scheme, as `fill` does, and from each
+        # level's first diagram, as AC6 does.
+        rng = random.Random(6)
+        for _ in range(8):
+            loop = sample_loop(fc4, 4, rng, max_len=4)
+            assert_reports_match_fraction_oracle(scheme_homotopies(loop, fc4))
+            homs = homotopies_for(loop, fc4, range(1, 5))
+            assert_reports_match_fraction_oracle([homs[lvl] for lvl in range(1, 5)])
+
+    def test_plus_loop(self, fc4):
+        assert_reports_match_fraction_oracle(scheme_homotopies(loop_from_json(PLUS_LOOP), fc4))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_explicit_spaces(self, depth):
+        homs = explicit_walk_homotopies(depth)
+        assert_reports_match_fraction_oracle([homs[lvl] for lvl in range(1, depth + 1)])
+
+    def test_violations_and_hit_points(self, fc2):
+        # Values pushed across the central square and a level-2 square,
+        # and one triangle that only touches removed squares' corners.
+        h = homotopies_for(sample_loop(fc2, 2, random.Random(53)), fc2, (2,))[2]
+        bad = [
+            ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2))),
+            ((F(0), F(0)), (F(1, 3), F(0)), (F(0), F(1, 3))),
+            ((F(2, 9), F(2, 9)), (F(1, 3), F(2, 9)), (F(2, 9), F(1, 3))),
+        ]
+        assert len(h.fills) >= len(bad)
+        fills = list(h.fills)
+        for k, val in enumerate(bad):
+            fill = fills[k]
+            fills[k] = replace(fill, triangles=((fill.triangles[0][0], val), *fill.triangles[1:]))
+        tampered = replace(h, fills=tuple(fills))
+        rep = verify_containment(tampered)
+        assert rep == fraction_verify_containment(tampered)
+        assert [f for f, _ in rep.violations][:2] == [0, 1]
+        for _, hit in rep.violations:
+            assert fc2.point_in_removed_interior(hit, 2)
+
+    def test_gap_has_no_fraction_kernels(self):
+        assert not names_in(homotopy.convergence_gap) & {"_segments_cross", "_lerp", "_point_key"}
+        assert "_point_key" not in defined_in(homotopy)
+
+    def test_guard_sees_fraction_kernels(self):
+        # The guard's self-test: the oracle still crosses and keys in Fractions.
+        import conftest
+
+        assert {"_segments_cross", "_lerp", "_point_key"} <= names_in(fraction_convergence_gap)
+        assert "_point_key" in defined_in(conftest)
