@@ -139,9 +139,11 @@ def cmd_check(args) -> int:
     seq = _load_space(args.space)
     loop = _load_loop(args.loop)
     data = _read_json(args.certificate)
-    if "certificate" in data:
-        data = data["certificate"]
     try:
+        if isinstance(data, dict) and "certificate" in data:
+            data = data["certificate"]
+        if not isinstance(data, dict):
+            raise TypeError("not a JSON object")
         cert = Certificate.from_json(data)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad certificate: {e}") from e

@@ -390,13 +390,15 @@ class PolyLoop:
         return Fraction(j % len(self.vertices), len(self.vertices))
 
     def point_at(self, t: Fraction) -> Point:
-        n = len(self.vertices)
-        t = t - (t.numerator // t.denominator)  # reduce mod 1
-        u = t * n
-        j = u.numerator // u.denominator
-        s = u - j
+        """The point at parameter t mod 1, each coordinate one Fraction of integers."""
+        n, d = len(self.vertices), t.denominator
+        j, r = divmod(t.numerator * n, d)  # tn = j + r/d: r/d along edge j
         p, q = self.vertices[j % n], self.vertices[(j + 1) % n]
-        return (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1]))
+        return tuple(
+            Fraction((d - r) * a.numerator * b.denominator + r * b.numerator * a.denominator,
+                     d * a.denominator * b.denominator)
+            for a, b in zip(p, q)
+        )
 
     def edges(self) -> Iterator[tuple[Point, Point, Fraction, Fraction]]:
         n = len(self.vertices)

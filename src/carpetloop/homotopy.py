@@ -19,11 +19,13 @@ Outside the polygon, points collapse radially onto its boundary, and
 points exactly on the unit circle evaluate through the inverse circle
 map, so the boundary condition holds exactly at every parameter.
 
-Floats only filter: padded float boxes and float orientation signs with
-a certified margin rule out candidates that provably miss, and every
-candidate they keep is decided exactly.  The convergence gap decides its
-crossings, locations and values in integers over homogeneous coordinates,
-and containment finds its candidate squares by integer floor division.
+Floats only filter: padded float boxes, paired by a sweep in x, and
+float orientation signs with a certified margin rule out candidates that
+provably miss, and every candidate they keep is decided exactly.  The
+convergence gap decides its crossings, locations and values in integers
+over homogeneous coordinates; its witness is the least corner in (x, y)
+order that reaches the maximum.  Containment finds candidate squares by
+integer floor division, first for a face's whole fan, then per triangle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import AssignmentFailure, IncompatibleHomotopies, MalformedDiagram
 from .grid import Corridor, DefiningSequence, PolyLoop, Point, _pow3, _segment_cells
@@ -54,10 +57,10 @@ def circle_point(t: Fraction) -> Point:
     q, p = divmod(4 * t.numerator, t.denominator)
     b = t.denominator
     den = b * b + p * p
-    x, y = Fraction(b * b - p * p, den), Fraction(2 * p * b, den)
+    x, y = b * b - p * p, 2 * p * b
     for _ in range(q % 4):
         x, y = -y, x
-    return (x, y)
+    return Fraction(x, den), Fraction(y, den)
 
 
 def circle_param(p: Point) -> Fraction:
@@ -118,8 +121,10 @@ def _between(p: Homogeneous, q: Homogeneous, n: int, d: int) -> Homogeneous:
 
 
 def _centroid(points: Sequence[Point]) -> Point:
-    n = len(points)
-    return sum(p[0] for p in points) / n, sum(p[1] for p in points) / n
+    """The mean point, its coordinates summed over one common denominator."""
+    d = lcm(*(c.denominator for p in points for c in p))
+    x, y = (sum(c.numerator * (d // c.denominator) for c in cs) for cs in zip(*points))
+    return Fraction(x, d * len(points)), Fraction(y, d * len(points))
 
 
 def _lerp(p: Point, q: Point, t: Fraction) -> Point:
@@ -462,13 +467,16 @@ class LevelHomotopy:
     @cached_property
     def _triangles(self) -> list:
         """The map's non-degenerate triangles in fill order, as canonical
-        homogeneous (domain, values) triples."""
+        homogeneous (domain, values) triples.  A fan's triangles share
+        their apex and edge point objects, so each object converts once."""
+        objs = {id(p): p for f in self.fills for tri in f.triangles for ps in tri for p in ps}
+        canon = {k: _homogeneous(p) for k, p in objs.items()}
         out = []
         for fill in self.fills:
-            for dom, val in fill.triangles:
-                dom = tuple(map(_homogeneous, dom))
+            for (a, b, c), (u, v, w) in fill.triangles:
+                dom = canon[id(a)], canon[id(b)], canon[id(c)]
                 if _det(*dom):
-                    out.append((dom, tuple(map(_homogeneous, val))))
+                    out.append((dom, (canon[id(u)], canon[id(v)], canon[id(w)])))
         return out
 
 
@@ -540,9 +548,7 @@ def build_homotopy(
     for fi, face in enumerate(cell.faces):
         pts = [cell.nodes[j].point for j in face.nodes]
         vals = [values[j] for j in face.nodes]
-        edges = [
-            (vals[k], vals[(k + 1) % len(vals)]) for k in range(len(vals))
-        ]
+        edges = list(zip(vals, vals[1:] + vals[:1]))
         if len(face.bands) == 2:
             ba, bb = (cell.bands[b].corridor for b in face.bands)
             h = ba if ba.orientation == "H" else bb
@@ -655,20 +661,13 @@ def _clip_rect(tri: Sequence[Point], rect: Rect) -> list[Point]:
         if not poly:
             return []
         out: list[Point] = []
-        m = len(poly)
-        for j in range(m):
-            a, b = poly[j], poly[(j + 1) % m]
+        for a, b in zip(poly, poly[1:] + poly[:1]):
             ia = a[axis] >= c if keep_ge else a[axis] <= c
             ib = b[axis] >= c if keep_ge else b[axis] <= c
             if ia:
                 out.append(a)
             if ia != ib:
-                t = (c - a[axis]) / (b[axis] - a[axis])
-                pt = (
-                    a[0] + t * (b[0] - a[0]),
-                    a[1] + t * (b[1] - a[1]),
-                )
-                out.append(pt)
+                out.append(_lerp(a, b, (c - a[axis]) / (b[axis] - a[axis])))
         poly = out
     return poly
 
@@ -679,10 +678,6 @@ def _strictly_inside(p: Point, rect: Rect) -> bool:
 
 def _triangle_meets_open_rect(tri: Sequence[Point], rect: Rect) -> Optional[Point]:
     """A point of the closed triangle strictly inside the open rect, or None."""
-    if max(p[0] for p in tri) <= rect[0] or min(p[0] for p in tri) >= rect[1]:
-        return None
-    if max(p[1] for p in tri) <= rect[2] or min(p[1] for p in tri) >= rect[3]:
-        return None
     clipped = _clip_rect(tri, rect)
     if not clipped:
         return None
@@ -695,36 +690,35 @@ def _triangle_meets_open_rect(tri: Sequence[Point], rect: Rect) -> Optional[Poin
     return None
 
 
+def _hole_squares(points: Collection[Point], seq: DefiningSequence, i: int) -> Iterator[Rect]:
+    """The removed squares of levels s <= i whose interiors meet the points' box.
+
+    The level-s squares ((2k-1)/3^s, 2k/3^s) x ((2m-1)/3^s, 2m/3^s) come
+    by scale, then k, then m, from floor divisions of the box's bounds."""
+    x0n, x0d = min(p[0] for p in points).as_integer_ratio()
+    x1n, x1d = max(p[0] for p in points).as_integer_ratio()
+    y0n, y0d = min(p[1] for p in points).as_integer_ratio()
+    y1n, y1d = max(p[1] for p in points).as_integer_ratio()
+    for s in range(1, i + 1):
+        n = _pow3(s)
+        k_lo = max(1, x0n * n // (2 * x0d) + 1)
+        k_hi = min((n - 1) // 2, (x1n * n + x1d - 1) // (2 * x1d))
+        m_lo = max(1, y0n * n // (2 * y0d) + 1)
+        m_hi = min((n - 1) // 2, (y1n * n + y1d - 1) // (2 * y1d))
+        for k in range(k_lo, k_hi + 1):
+            for m in range(m_lo, m_hi + 1):
+                if seq.has_hole(s, k, m):
+                    yield tuple(Fraction(c, n) for c in (2 * k - 1, 2 * k, 2 * m - 1, 2 * m))
+
+
 def _triangle_hole_hit(
     tri: Sequence[Point], seq: DefiningSequence, i: int
 ) -> Optional[Point]:
-    """A point of the triangle strictly inside a removed square, or None.
-
-    The level-s squares ((2k-1)/3^s, 2k/3^s) x ((2m-1)/3^s, 2m/3^s) that can
-    meet the triangle's box come from floor divisions of its bounds."""
-    x0n, x0d = min(p[0] for p in tri).as_integer_ratio()
-    x1n, x1d = max(p[0] for p in tri).as_integer_ratio()
-    y0n, y0d = min(p[1] for p in tri).as_integer_ratio()
-    y1n, y1d = max(p[1] for p in tri).as_integer_ratio()
-    for s in range(1, i + 1):
-        n = _pow3(s)
-        k_lo = max(1, -((-x0n * n) // (2 * x0d)))
-        k_hi = min((n - 1) // 2, (x1n * n + x1d) // (2 * x1d))
-        m_lo = max(1, -((-y0n * n) // (2 * y0d)))
-        m_hi = min((n - 1) // 2, (y1n * n + y1d) // (2 * y1d))
-        for k in range(k_lo, k_hi + 1):
-            for m in range(m_lo, m_hi + 1):
-                if not seq.has_hole(s, k, m):
-                    continue
-                rect = (
-                    Fraction(2 * k - 1, n),
-                    Fraction(2 * k, n),
-                    Fraction(2 * m - 1, n),
-                    Fraction(2 * m, n),
-                )
-                hit = _triangle_meets_open_rect(tri, rect)
-                if hit is not None:
-                    return hit
+    """A point of the triangle strictly inside a removed square, or None."""
+    for rect in _hole_squares(tri, seq, i):
+        hit = _triangle_meets_open_rect(tri, rect)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -732,11 +726,17 @@ def verify_containment(h: LevelHomotopy) -> ContainmentReport:
     """Check the filled disk's image avoids every removed square.
 
     Every face is affine, so the image of each of its triangles is a
-    triangle, tested exactly against each candidate open square.  The
-    space and level are the filling's own.
+    triangle, tested exactly against each candidate open square.  A face
+    whose values' box meets no removed square's interior is skipped
+    whole: its triangles lie in that box.  The space and level are the
+    filling's own.
     """
     violations: list[tuple[int, Point]] = []
     for fill in h.fills:
+        # A fan's triangles share their point objects; compare each once.
+        values = {id(p): p for _, val in fill.triangles for p in val}.values()
+        if next(_hole_squares(values, h.seq, h.level), None) is None:
+            continue
         for _, val in fill.triangles:
             hit = _triangle_hole_hit(val, h.seq, h.level)
             if hit is not None:
@@ -760,16 +760,35 @@ class GapReport:
     max_sq: Fraction
     bound: Fraction
     holds: bool
+    # The least corner in (x, y) order where max_sq is reached; None when it is 0.
     witness: Optional[Point]
     pairs_checked: int  # edge pairs that reached the exact crossing test
 
 
-_GRID = 16  # buckets per side of the gap's float grid over [-1, 1]^2
+def _edge_pairs(edges1: Iterable, edges2: Iterable, points: list) -> Iterator[tuple]:
+    """The pairs of edges, one from each mesh, whose padded float boxes meet
+    and whose four ends are distinct: edges with a common end cannot cross.
 
-
-def _bucket_of(t: float) -> int:
-    b = int((t + 1.0) * _GRID / 2.0)
-    return min(_GRID - 1, max(0, b))
+    Sweep and prune: boxes enter in order of low x, and each meets those
+    of the other mesh that the sweep has not passed and whose y-intervals
+    meet its own.  An edge comes as its ends and their floats, (a, b, ax, ay, bx, by)."""
+    boxes = []
+    for side, edges in enumerate((edges1, edges2)):
+        for a, b in edges:
+            _, ax, ay = points[a]
+            _, bx, by = points[b]
+            boxes.append((min(ax, bx) - _BOX_PAD, max(ax, bx) + _BOX_PAD, min(ay, by) - _BOX_PAD,
+                          max(ay, by) + _BOX_PAD, side, a, b, (a, b, ax, ay, bx, by)))
+    boxes.sort(key=itemgetter(0))
+    live: list[list] = [[], []]
+    for box in boxes:
+        x0, _, y0, y1, side, a, b, edge = box
+        ends = a, b
+        others = live[1 - side] = [e for e in live[1 - side] if e[1] >= x0]
+        for e in others:
+            if e[2] <= y1 and y0 <= e[3] and e[5] not in ends and e[6] not in ends:
+                yield (edge, e[7]) if side == 0 else (e[7], edge)
+        live[side].append(box)
 
 
 def _overlay_index(
@@ -808,13 +827,14 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
     the two meshes and is maximized at a corner.  Corners are the
     vertices of either mesh, located in the other, and the proper
     crossings of one mesh's edges with the other's; touching and
-    collinear contacts are mesh vertices already.  Padded float boxes
-    and certified float orientations only reject edge pairs; every
-    inclusion, crossing and value is an integer determinant or ratio over
-    homogeneous coordinates, each distinct corner is evaluated once, and
-    the maximum is exact.  Outside the polygon both
-    maps collapse radially to identical boundary values, so the annulus
-    contributes nothing.
+    collinear contacts are mesh vertices already.  Edge pairs meet by a
+    sweep over padded float boxes sorted by low x, and certified float
+    orientations reject more; every inclusion, crossing and value is an
+    integer determinant or ratio over homogeneous coordinates, each
+    distinct corner is evaluated once, and the maximum is exact, as is
+    its witness, the least such corner in (x, y) order.  Outside the
+    polygon both maps collapse radially to identical boundary values, so
+    the annulus contributes nothing.
     """
     if h1.loop != h2.loop or h1.seq != h2.seq:
         raise IncompatibleHomotopies("homotopies describe different problems")
@@ -841,7 +861,10 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
         dx = v1[0] * v2[2] - v2[0] * v1[2]
         dy = v1[1] * v2[2] - v2[1] * v1[2]
         n, d = dx * dx + dy * dy, (v1[2] * v2[2]) ** 2
-        if n * den > num * d:
+        c = n * den - num * d
+        if c > 0 or c == 0 and witness is not None and (
+            (p[0] * witness[2], p[1] * witness[2]) < (witness[0] * p[2], witness[1] * p[2])
+        ):
             num, den, witness = n, d, p
 
     # Vertex corners.  The maps are continuous, so any triangle holding a
@@ -855,65 +878,38 @@ def convergence_gap(h1: LevelHomotopy, h2: LevelHomotopy) -> GapReport:
             p = points[j][0]
             consider(p, _eval_in_polygon(h1, p), v2)
 
-    # Crossing corners: the second mesh's edges filed by padded float box.
-    grid: dict[tuple[int, int], list] = {}
-    for n, (c, d) in enumerate(edges2):
-        _, cx, cy = points[c]
-        _, dx, dy = points[d]
-        u0, u1 = min(cx, dx) - _BOX_PAD, max(cx, dx) + _BOX_PAD
-        v0, v1 = min(cy, dy) - _BOX_PAD, max(cy, dy) + _BOX_PAD
-        entry = (n, c, d, cx, cy, dx, dy, u0, u1, v0, v1)
-        ys = range(_bucket_of(v0), _bucket_of(v1) + 1)
-        for gx in range(_bucket_of(u0), _bucket_of(u1) + 1):
-            for gy in ys:
-                grid.setdefault((gx, gy), []).append(entry)
-
+    # Crossing corners: edge pairs with distinct ends whose padded float boxes meet.
     pairs_checked = 0
     crossings: set[Homogeneous] = set()
-    seen = [-1] * len(edges2)  # last first-mesh edge that met each edge
-    for m, (a, b) in enumerate(edges1):
-        pa, ax, ay = points[a]
-        pb, bx, by = points[b]
-        x0, x1 = min(ax, bx) - _BOX_PAD, max(ax, bx) + _BOX_PAD
-        y0, y1 = min(ay, by) - _BOX_PAD, max(ay, by) + _BOX_PAD
-        ys = range(_bucket_of(y0), _bucket_of(y1) + 1)
-        for gx in range(_bucket_of(x0), _bucket_of(x1) + 1):
-            for gy in ys:
-                for n, c, d, cx, cy, dx, dy, u0, u1, v0, v1 in grid.get((gx, gy), ()):
-                    if seen[n] == m:
-                        continue
-                    seen[n] = m
-                    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
-                        continue
-                    if a == c or a == d or b == c or b == d:
-                        continue
-                    s = _float_orient(ax, ay, bx, by, cx, cy)
-                    if s and s == _float_orient(ax, ay, bx, by, dx, dy):
-                        continue
-                    s = _float_orient(cx, cy, dx, dy, ax, ay)
-                    if s and s == _float_orient(cx, cy, dx, dy, bx, by):
-                        continue
-                    pairs_checked += 1
-                    pc, pd = points[c][0], points[d][0]
-                    d1, d2 = _det(pa, pb, pc), _det(pa, pb, pd)
-                    if d1 * d2 >= 0:
-                        continue
-                    d3, d4 = _det(pc, pd, pa), _det(pc, pd, pb)
-                    if d3 * d4 >= 0:
-                        continue
-                    # A proper crossing, at s along the first edge and t
-                    # along the second; each map is affine along its edge.
-                    sn, sd = d3 * pb[2], d3 * pb[2] - d4 * pa[2]
-                    tn, td = d1 * pd[2], d1 * pd[2] - d2 * pc[2]
-                    x = _lowest(*_between(pa, pb, sn, sd))
-                    if x in ids or x in crossings:
-                        continue
-                    crossings.add(x)
-                    consider(
-                        x,
-                        _between(values1[a], values1[b], sn, sd),
-                        _between(values2[c], values2[d], tn, td),
-                    )
+    pairs = _edge_pairs(edges1, edges2, points)
+    for (a, b, ax, ay, bx, by), (c, d, cx, cy, dx, dy) in pairs:
+        s = _float_orient(ax, ay, bx, by, cx, cy)
+        if s and s == _float_orient(ax, ay, bx, by, dx, dy):
+            continue
+        s = _float_orient(cx, cy, dx, dy, ax, ay)
+        if s and s == _float_orient(cx, cy, dx, dy, bx, by):
+            continue
+        pairs_checked += 1
+        pa, pb, pc, pd = points[a][0], points[b][0], points[c][0], points[d][0]
+        d1, d2 = _det(pa, pb, pc), _det(pa, pb, pd)
+        if d1 * d2 >= 0:
+            continue
+        d3, d4 = _det(pc, pd, pa), _det(pc, pd, pb)
+        if d3 * d4 >= 0:
+            continue
+        # A proper crossing, at s along the first edge and t along the
+        # second; each map is affine along its edge.
+        sn, sd = d3 * pb[2], d3 * pb[2] - d4 * pa[2]
+        tn, td = d1 * pd[2], d1 * pd[2] - d2 * pc[2]
+        x = _lowest(*_between(pa, pb, sn, sd))
+        if x in ids or x in crossings:
+            continue
+        crossings.add(x)
+        consider(
+            x,
+            _between(values1[a], values1[b], sn, sd),
+            _between(values2[c], values2[d], tn, td),
+        )
 
     max_sq = Fraction(num, den)
     bound = Fraction(6, _pow3(h1.level))

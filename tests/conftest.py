@@ -58,7 +58,6 @@ from carpetloop.homotopy import (
     ContainmentReport,
     GapReport,
     _BOX_PAD,
-    _bucket_of,
     _centroid,
     _float_orient,
     _lerp,
@@ -699,7 +698,8 @@ def gap_oracle(h1, h2):
     For every pair of non-degenerate triangles, one per map, whose boxes
     meet, evaluates both affine maps at every corner of their
     intersection: each triangle's vertices inside the other and every
-    contact of their edges.  Returns (max_sq, witness).
+    contact of their edges.  Returns (max_sq, witness), the witness the
+    least corner in (x, y) order where max_sq is reached.
     """
 
     def mesh(h):
@@ -737,14 +737,25 @@ def gap_oracle(h1, h2):
                 v1 = _affine_value(dom1, val1, p)
                 v2 = _affine_value(dom2, val2, p)
                 d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
-                if d > max_sq:
+                if d > max_sq or d == max_sq and witness is not None and p < witness:
                     max_sq, witness = d, p
     return max_sq, witness
 
 
 # ---------------------------------------------------------------------------
-# Rational-arithmetic oracles: the circle map, the convergence gap and the
-# containment check as they were before they worked in integers
+# Rational-arithmetic oracles: the loop and circle maps, the convergence gap
+# and the containment check as they were before they worked in integers
+
+
+def fraction_point_at(loop, t: Fraction) -> Point:
+    """`PolyLoop.point_at` in Fraction arithmetic."""
+    n = len(loop.vertices)
+    t = t - (t.numerator // t.denominator)  # reduce mod 1
+    u = t * n
+    j = u.numerator // u.denominator
+    s = u - j
+    p, q = loop.vertices[j % n], loop.vertices[(j + 1) % n]
+    return (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1]))
 
 
 def fraction_circle_point(t: Fraction) -> Point:
@@ -818,12 +829,22 @@ def _overlay_index(h, ids, points):
     return values, edges
 
 
+_GRID = 16  # buckets per side of the gap's float grid over [-1, 1]^2
+
+
+def _bucket_of(t: float) -> int:
+    b = int((t + 1.0) * _GRID / 2.0)
+    return min(_GRID - 1, max(0, b))
+
+
 def fraction_convergence_gap(h1, h2) -> GapReport:
     """`homotopy.convergence_gap` with every exact step in Fractions.
 
-    The same edge-pair overlay over the same float filters and the same
-    bucket order; crossings are `_segments_cross` and `_lerp`, corners
-    keyed by `_point_key`.  The caller checks compatibility.
+    The same edge-pair overlay over the same float filters, its pairs
+    found by a 16x16 float grid of buckets; crossings are `_segments_cross`
+    and `_lerp`, corners keyed by `_point_key`.  Of the corners where the
+    maximum is reached, the witness is the least in (x, y) order.  The
+    caller checks compatibility.
     """
     ids = {}
     points = []
@@ -836,7 +857,7 @@ def fraction_convergence_gap(h1, h2) -> GapReport:
     def consider(p, v1, v2) -> None:
         nonlocal max_sq, witness
         d = (v1[0] - v2[0]) ** 2 + (v1[1] - v2[1]) ** 2
-        if d > max_sq:
+        if d > max_sq or d == max_sq and witness is not None and p < witness:
             max_sq = d
             witness = p
 

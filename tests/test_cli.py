@@ -241,6 +241,20 @@ class TestCertifyCheck:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "doc",
+        [5, None, True, "no certificate here", ["certificate"], {"certificate": 5}],
+        ids=["number", "null", "bool", "string", "list", "wrapped-number"],
+    )
+    def test_certificate_not_an_object(self, capsys, caplog, files, tmp_path, doc):
+        cert = write_json(tmp_path / "cert.json", doc)
+        code, out = run(
+            capsys,
+            ["check", "--space", files["space"], "--loop", files["ring"], "--cert", cert],
+        )
+        assert code == 2 and out == ""
+        assert "bad certificate: not a JSON object" in caplog.text
+
+    @pytest.mark.parametrize(
         "loop_key, tamper",
         [
             ("ring", lambda cert: dict(cert, level=1.7)),

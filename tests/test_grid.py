@@ -1,5 +1,6 @@
 """Squares, spaces, corridors, and loop validation."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,15 @@ from carpetloop import (
 
 from carpetloop.grid import _corridor_at
 
-from conftest import corridor_by_id, inner_contains, level_space_contains
+from conftest import (
+    closed_walk_word,
+    corridor_by_id,
+    fraction_point_at,
+    inner_contains,
+    level_space_contains,
+    random_explicit_space,
+    realized_loop,
+)
 
 pytestmark = []
 
@@ -218,6 +227,26 @@ class TestLoops:
         loop = PolyLoop(((F(1, 5), F(1, 5)), (F(2, 5), F(1, 5)), (F(2, 5), F(2, 5))))
         assert loop.point_at(F(0)) == (F(1, 5), F(1, 5))
         assert loop.point_at(F(4, 3)) == loop.point_at(F(1, 3))
+
+    def test_point_at_matches_fraction_oracle(self, fc3):
+        # Loops realized on a full carpet and on random explicit spaces, at
+        # vertex parameters, between them, below 0 and from 1 up.
+        rng = random.Random(107)
+        loops = []
+        for seq in (fc3, random_explicit_space(3, rng), random_explicit_space(3, rng, keep=0.3)):
+            drawn = len(loops) + 4
+            while len(loops) < drawn:
+                loop = realized_loop(seq, closed_walk_word(seq, 3, rng, wander=6))
+                if loop is not None:
+                    loops.append(loop)
+        for loop in loops:
+            n = len(loop)
+            ts = [F(j, n) + k for j in range(n) for k in (-2, -1, 0, 1, 3)]
+            for _ in range(200):
+                den = rng.randint(1, 10 ** rng.randint(1, 9))
+                ts.append(F(rng.randint(-3 * den, 3 * den), den))
+            for t in ts:
+                assert loop.point_at(t) == fraction_point_at(loop, t), (loop, t)
 
     def test_validate_empty_is_not_closed(self, fc1):
         rep = validate_loop(PolyLoop(()), fc1, 1)

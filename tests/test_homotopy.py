@@ -539,8 +539,9 @@ class TestGap:
 def assert_gap_matches_oracle(h1, h2):
     """The edge-pair gap agrees exactly with the triangle-pair overlay."""
     g = convergence_gap(h1, h2)
-    max_sq, _ = gap_oracle(h1, h2)
+    max_sq, witness = gap_oracle(h1, h2)
     assert g.max_sq == max_sq, (g.level_pair, g.max_sq, max_sq)
+    assert g.witness == witness, (g.level_pair, g.witness, witness)
     assert g.holds == (max_sq <= g.bound**2)
     if g.witness is None:
         assert g.max_sq == 0
@@ -691,6 +692,33 @@ class TestGapOverlay:
         assert g.witness == (F(0), F(0))
         assert g == fraction_convergence_gap(h1, h2)
 
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_tied_corners_name_the_least(self, fc2, order):
+        # Both meshes are symmetric under y -> -y.  The second pushes its
+        # two interior vertices (0, +-1/4) right by 1/10, so the maps differ
+        # most at both of them; the witness is the lower one, in whichever
+        # order the triangles come.
+        homs = homotopies_for(sample_loop(fc2, 2, random.Random(83)), fc2, (1, 2))
+        p00, p10, p11, p01 = _square_corners()
+        o, lo, hi = (F(0), F(0)), (F(0), F(-1, 4)), (F(0), F(1, 4))
+        same = lambda *dom: (dom, dom)
+        tris1 = [same(o, p00, p10), same(o, p10, p11), same(o, p11, p01), same(o, p01, p00)]
+        bump = {lo: (F(1, 10), F(-1, 4)), hi: (F(1, 10), F(1, 4))}
+        bumped = lambda *dom: (dom, tuple(bump.get(p, p) for p in dom))
+        # The first triangle has the lower vertex only, the last the upper.
+        tris2 = [
+            bumped(p00, p10, lo), bumped(o, lo, p10), bumped(o, p00, lo), bumped(o, p10, p11),
+            bumped(o, p01, p00), bumped(o, p11, hi), bumped(o, hi, p01), bumped(p11, p01, hi),
+        ]
+        if order == "reversed":
+            tris1, tris2 = tris1[::-1], tris2[::-1]
+        h1, h2 = _with_triangles(homs[1], tris1), _with_triangles(homs[2], tris2)
+        g = convergence_gap(h1, h2)
+        assert g.max_sq == F(1, 100)
+        assert g.witness == lo
+        assert gap_oracle(h1, h2) == (g.max_sq, lo)
+        assert g == fraction_convergence_gap(h1, h2)
+
 
 def assert_reports_match_fraction_oracle(hs):
     """Whole containment and gap reports equal their Fraction predecessors'."""
@@ -746,6 +774,75 @@ class TestIntegerKernels:
         assert [f for f, _ in rep.violations][:2] == [0, 1]
         for _, hit in rep.violations:
             assert fc2.point_in_removed_interior(hit, 2)
+
+    def test_face_box_meets_a_hole_its_triangle_misses(self, fc2):
+        # The value triangle's box holds the central square, but the
+        # triangle lies in x + y <= 2/3 and touches the square at a corner
+        # only: the face is tested, and nothing is found.
+        h = homotopies_for(sample_loop(fc2, 2, random.Random(53)), fc2, (1,))[1]
+        miss = ((F(0), F(0)), (F(2, 3), F(0)), (F(0), F(2, 3)))
+        assert next(homotopy._hole_squares(miss, fc2, 1), None) is not None
+        fill = h.fills[0]
+        fills = (replace(fill, triangles=((fill.triangles[0][0], miss),)), *h.fills[1:])
+        tampered = replace(h, fills=fills)
+        rep = verify_containment(tampered)
+        assert rep.ok
+        assert rep == fraction_verify_containment(tampered)
+
+    def test_face_entering_a_hole_past_its_first_triangle(self, fc2):
+        # The face's first triangle misses the central square, its second
+        # enters it: the same face and hit point as the oracle's.
+        h = homotopies_for(sample_loop(fc2, 2, random.Random(53)), fc2, (1,))[1]
+        miss = ((F(0), F(0)), (F(2, 3), F(0)), (F(0), F(2, 3)))
+        enter = ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2)))
+        k = len(h.fills) - 1
+        fill = h.fills[k]
+        dom = fill.triangles[0][0]
+        face_fill = replace(fill, triangles=((dom, miss), (dom, enter)))
+        tampered = replace(h, fills=(*h.fills[:k], face_fill))
+        rep = verify_containment(tampered)
+        assert rep == fraction_verify_containment(tampered)
+        ((face, hit),) = rep.violations
+        assert face == fill.face
+        assert fc2.point_in_removed_interior(hit, 1)
+
+    def test_edge_pairs_are_the_meeting_boxes(self):
+        # Short and long edges on a coarse lattice, so boxes share low x,
+        # touch and nest: the sweep yields each meeting pair with four
+        # distinct ends once.
+        rng = random.Random(109)
+        for _ in range(40):
+            pts = [(None, rng.randint(-4, 4) / 4, rng.randint(-4, 4) / 4) for _ in range(12)]
+            edges = [
+                [tuple(rng.sample(range(12), 2)) for _ in range(rng.randint(1, 15))] for _ in (1, 2)
+            ]
+            got = [(e1[:2], e2[:2]) for e1, e2 in homotopy._edge_pairs(*edges, pts)]
+
+            def box(e):
+                xs, ys = [pts[v][1] for v in e], [pts[v][2] for v in e]
+                return min(xs), max(xs), min(ys), max(ys)
+
+            def meet(b, c):
+                return b[0] <= c[1] and c[0] <= b[1] and b[2] <= c[3] and c[2] <= b[3]
+
+            want = [
+                (e1, e2)
+                for e1 in edges[0]
+                for e2 in edges[1]
+                if meet(box(e1), box(e2)) and not set(e1) & set(e2)
+            ]
+            assert sorted(got) == sorted(want)
+
+    def test_gap_sweeps_without_a_grid(self):
+        assert not names_in(homotopy.convergence_gap) & {"_bucket_of", "_GRID"}
+        assert "_bucket_of" not in defined_in(homotopy) and not hasattr(homotopy, "_GRID")
+
+    def test_guard_sees_the_grid(self):
+        # The guard's self-test: the oracle still files edges in buckets.
+        import conftest
+
+        assert "_bucket_of" in names_in(fraction_convergence_gap)
+        assert "_bucket_of" in defined_in(conftest) and hasattr(conftest, "_GRID")
 
     def test_gap_has_no_fraction_kernels(self):
         assert not names_in(homotopy.convergence_gap) & {"_segments_cross", "_lerp", "_point_key"}
